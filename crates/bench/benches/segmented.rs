@@ -4,14 +4,12 @@
 //! The experiment pits the two `IndexLayout`s against each other on the
 //! same workload: reader threads run filtering queries under the shared
 //! read lock while a writer thread keeps inserting (and removing)
-//! objects and performing index maintenance the way the serve loop does
-//! — `compact()` for the monolithic layout (a stop-the-world rebuild
-//! under the write lock) versus `maintain()` for the segmented layout
-//! (background merges land off-thread; applying one is an O(1) swap).
-//! Besides the criterion report, the run writes a machine-readable
-//! `BENCH_segmented.json` at the repository root with read p50/p99/max
-//! per layout: the segmented p99 should stay flat where the monolithic
-//! one absorbs the rebuild stalls.
+//! objects and calling `maintain()` the way the serve loop does. The
+//! monolithic layout removes in place; the segmented layout tombstones
+//! and lets background merges reclaim the space off-thread (applying one
+//! is an O(1) swap). Besides the criterion report, the run writes a
+//! machine-readable `BENCH_segmented.json` at the repository root with
+//! read p50/p99/max per layout.
 
 // Dev-tool output and test fixtures are written directly; the Vfs seam
 // covers production durability, not harness artifacts.
@@ -26,7 +24,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use ferret_core::engine::{EngineBuilder, EngineConfig, QueryOptions, SearchEngine};
-use ferret_core::filter::{FilterParams, FilterStrategy};
+use ferret_core::filter::FilterParams;
 use ferret_core::object::{DataObject, ObjectId};
 use ferret_core::segment::IndexLayout;
 use ferret_core::telemetry::MetricsRegistry;
@@ -51,7 +49,6 @@ fn query_options() -> QueryOptions {
 
 fn build_engine(layout: IndexLayout, registry: &Arc<MetricsRegistry>) -> SearchEngine {
     let config = EngineConfig::basic(image_sketch_params(96, 2), 3)
-        .with_filter_strategy(FilterStrategy::Indexed)
         .with_index_layout(layout)
         .with_memtable_size(256);
     let mut engine = EngineBuilder::from_config(config).build().unwrap();
@@ -112,8 +109,8 @@ fn run_layout(layout: IndexLayout) -> LayoutRow {
         .collect();
 
     // The writer keeps ingesting batches (with a removal backlog so
-    // maintenance has real work) and runs the layout's maintenance op
-    // under the same write lock the serve loop would take.
+    // maintenance has real work) and runs maintenance under the same
+    // write lock the serve loop would take.
     let writer = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
@@ -136,10 +133,7 @@ fn run_layout(layout: IndexLayout) -> LayoutRow {
                     for id in (remove_from..next_id).step_by(4) {
                         guard.remove(ObjectId(id)).unwrap();
                     }
-                    match layout {
-                        IndexLayout::Monolithic => guard.compact().unwrap(),
-                        IndexLayout::Segmented => guard.maintain().unwrap(),
-                    }
+                    guard.maintain().unwrap();
                 }
                 batches += 1;
                 std::thread::sleep(Duration::from_millis(2));

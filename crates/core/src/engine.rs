@@ -12,19 +12,14 @@ use std::time::{Duration, Instant};
 use crate::distance::emd::{emd_with_costs, greedy_emd_with_costs, Emd, GreedyEmd, ThresholdedEmd};
 use crate::distance::{ObjectDistance, SegmentDistance};
 use crate::error::{CoreError, Result};
-use crate::filter::{
-    filter_candidates_indexed_multi, filter_candidates_sharded_traced, FilterParams, FilterStats,
-    FilterStrategy, IndexedFilterOutcome, ProbeStats,
-};
+use crate::filter::{filter_candidates_sharded_traced, FilterParams};
 use crate::object::{DataObject, ObjectId};
 use crate::parallel::{try_map_chunked, Parallelism, DEFAULT_CHUNK};
 use crate::rank::{rank_candidates_parallel, rank_scores, SearchResult};
 use crate::segment::{
     IndexLayout, IndexStorage, MonolithicStorage, SegmentedStorage, StorageStats,
 };
-use crate::sketch::{
-    ShardedSketchIndex, SketchBuilder, SketchParams, SketchStrategy, SketchedObject,
-};
+use crate::sketch::{SketchBuilder, SketchParams, SketchedObject};
 use crate::telemetry::{
     MetricsRegistry, QueryTrace, ShardTrace, StageClock, StageTrace, SIZE_BUCKETS,
 };
@@ -116,19 +111,9 @@ pub struct EngineConfig {
     /// batch sketch construction may use. Results are bit-identical for
     /// every setting; this only trades wall-clock time for cores.
     pub parallelism: Parallelism,
-    /// How the filtering stage traverses the sketch database: full scan,
-    /// multi-index probe, or a per-query automatic choice. Results are
-    /// byte-identical for every setting (see [`FilterStrategy`]).
-    pub filter_strategy: FilterStrategy,
-    /// How the sketch construction unit evaluates its `N × K` random
-    /// pairs: the paper's per-pair loop or the pre-sorted one-pass plan.
-    /// Sketches are byte-identical for every setting (see
-    /// [`SketchStrategy`]); this only trades plan memory for ingest
-    /// throughput.
-    pub sketch_strategy: SketchStrategy,
-    /// Which storage layout backs the object maps and sketch index:
-    /// one mutable monolith, or LSM-style immutable segments. Results
-    /// are bit-identical for every setting (see [`IndexLayout`]).
+    /// Which storage layout backs the object maps: one mutable monolith,
+    /// or LSM-style immutable segments. Results are bit-identical for
+    /// every setting (see [`IndexLayout`]).
     pub index_layout: IndexLayout,
     /// Seal threshold of the segmented layout's memtable (ignored by
     /// [`IndexLayout::Monolithic`]).
@@ -154,8 +139,6 @@ impl EngineConfig {
             ranking: RankingMethod::Emd,
             store_originals: true,
             parallelism: Parallelism::Auto,
-            filter_strategy: FilterStrategy::Auto,
-            sketch_strategy: SketchStrategy::Classic,
             index_layout: IndexLayout::default(),
             memtable_size: DEFAULT_MEMTABLE_SIZE,
             compaction: true,
@@ -186,18 +169,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the filtering strategy.
-    pub fn with_filter_strategy(mut self, filter_strategy: FilterStrategy) -> Self {
-        self.filter_strategy = filter_strategy;
-        self
-    }
-
-    /// Sets the sketch construction strategy.
-    pub fn with_sketch_strategy(mut self, sketch_strategy: SketchStrategy) -> Self {
-        self.sketch_strategy = sketch_strategy;
-        self
-    }
-
     /// Sets the index storage layout.
     pub fn with_index_layout(mut self, index_layout: IndexLayout) -> Self {
         self.index_layout = index_layout;
@@ -216,11 +187,6 @@ impl EngineConfig {
         self
     }
 }
-
-/// Minimum corpus size at which [`FilterStrategy::Auto`] considers the
-/// multi-index worthwhile; below this a scan is cheaper than probing
-/// `B` hash tables per query segment.
-pub const AUTO_INDEX_MIN_OBJECTS: usize = 256;
 
 /// Maps a ranking distance to a similarity score in `(0, 1]`: `1 / (1 + d)`.
 ///
@@ -516,18 +482,16 @@ impl MetadataFootprint {
 }
 
 /// Builds a [`SearchEngine`], mirroring `ServiceBuilder` in the query
-/// crate. This is the one construction surface: the deprecated
-/// [`SearchEngine::new`] is a thin wrapper over it.
+/// crate. This is the one construction surface; every knob lives on
+/// [`EngineConfig`] and its `with_*` setters.
 ///
 /// ```
 /// use ferret_core::prelude::*;
 /// let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
-/// let engine = SearchEngine::builder(params, 42)
-///     .filter_strategy(FilterStrategy::Indexed)
-///     .index_layout(IndexLayout::Segmented)
-///     .memtable_size(64)
-///     .build()
-///     .unwrap();
+/// let config = EngineConfig::basic(params, 42)
+///     .with_index_layout(IndexLayout::Segmented)
+///     .with_memtable_size(64);
+/// let engine = EngineBuilder::from_config(config).build().unwrap();
 /// assert!(engine.is_empty());
 /// ```
 #[derive(Clone)]
@@ -551,60 +515,6 @@ impl EngineBuilder {
         }
     }
 
-    /// Sets the segment distance function.
-    pub fn seg_distance(mut self, seg_distance: Arc<dyn SegmentDistance>) -> Self {
-        self.config.seg_distance = seg_distance;
-        self
-    }
-
-    /// Sets the ranking method.
-    pub fn ranking(mut self, ranking: RankingMethod) -> Self {
-        self.config.ranking = ranking;
-        self
-    }
-
-    /// Keeps (or drops) original feature vectors in memory.
-    pub fn store_originals(mut self, store_originals: bool) -> Self {
-        self.config.store_originals = store_originals;
-        self
-    }
-
-    /// Sets the parallelism budget.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the filtering strategy.
-    pub fn filter_strategy(mut self, filter_strategy: FilterStrategy) -> Self {
-        self.config.filter_strategy = filter_strategy;
-        self
-    }
-
-    /// Sets the sketch construction strategy.
-    pub fn sketch_strategy(mut self, sketch_strategy: SketchStrategy) -> Self {
-        self.config.sketch_strategy = sketch_strategy;
-        self
-    }
-
-    /// Sets the index storage layout.
-    pub fn index_layout(mut self, index_layout: IndexLayout) -> Self {
-        self.config.index_layout = index_layout;
-        self
-    }
-
-    /// Sets the segmented layout's memtable seal threshold.
-    pub fn memtable_size(mut self, memtable_size: usize) -> Self {
-        self.config.memtable_size = memtable_size;
-        self
-    }
-
-    /// Enables or disables the segmented layout's background compaction.
-    pub fn compaction(mut self, compaction: bool) -> Self {
-        self.config.compaction = compaction;
-        self
-    }
-
     /// Wires a metrics registry into the engine at construction time.
     pub fn telemetry(mut self, registry: Option<Arc<MetricsRegistry>>) -> Self {
         self.telemetry = registry;
@@ -614,20 +524,11 @@ impl EngineBuilder {
     /// Builds the engine.
     pub fn build(self) -> Result<SearchEngine> {
         let config = self.config;
-        let builder = SketchBuilder::with_strategy(
-            config.sketch.clone(),
-            config.seed,
-            config.sketch_strategy,
-        );
+        let builder = SketchBuilder::new(config.sketch.clone(), config.seed);
         let sketch_scale = 1.0 / builder.hamming_per_l1();
-        let index_enabled = config.filter_strategy != FilterStrategy::Scan;
         let storage: Box<dyn IndexStorage> = match config.index_layout {
-            IndexLayout::Monolithic => {
-                Box::new(MonolithicStorage::new(builder.nbits(), index_enabled)?)
-            }
+            IndexLayout::Monolithic => Box::new(MonolithicStorage::new()),
             IndexLayout::Segmented => Box::new(SegmentedStorage::new(
-                builder.nbits(),
-                index_enabled,
                 config.memtable_size,
                 config.compaction,
             )),
@@ -657,7 +558,7 @@ pub struct SearchEngine {
     /// When set, queries are timed per stage, metrics are recorded into
     /// the registry, and responses carry a [`QueryTrace`].
     telemetry: Option<Arc<MetricsRegistry>>,
-    /// The object maps and sketch index, behind the layout seam.
+    /// The object maps, behind the layout seam.
     storage: Box<dyn IndexStorage>,
 }
 
@@ -665,14 +566,6 @@ impl SearchEngine {
     /// Starts an [`EngineBuilder`] with the conventional configuration.
     pub fn builder(sketch: SketchParams, seed: u64) -> EngineBuilder {
         EngineBuilder::new(sketch, seed)
-    }
-
-    /// Creates an empty engine from a configuration.
-    #[deprecated(since = "0.2.0", note = "use SearchEngine::builder or EngineBuilder")]
-    pub fn new(config: EngineConfig) -> Self {
-        EngineBuilder::from_config(config)
-            .build()
-            .expect("valid sketch params imply valid engine")
     }
 
     /// The engine's sketch construction unit.
@@ -701,42 +594,23 @@ impl SearchEngine {
         self.config.parallelism = parallelism;
     }
 
-    /// The engine's filtering strategy.
-    pub fn filter_strategy(&self) -> FilterStrategy {
-        self.config.filter_strategy
-    }
-
-    /// The engine's sketch construction strategy.
-    pub fn sketch_strategy(&self) -> SketchStrategy {
-        self.builder.strategy()
-    }
-
-    /// The sketch strategy as a metric label value.
-    fn sketch_strategy_label(&self) -> &'static str {
-        match self.builder.strategy() {
-            SketchStrategy::Classic => "classic",
-            SketchStrategy::OnePass => "one-pass",
-        }
-    }
-
     /// Records one ingest batch into the metrics registry: objects
-    /// sketched (by strategy), the sketch-stage build timer, and the
-    /// most recent objects/sec ingest rate.
+    /// sketched, the sketch-stage build timer, and the most recent
+    /// objects/sec ingest rate.
     fn record_ingest_metrics(&self, objects: usize, elapsed: Duration) {
         let Some(registry) = &self.telemetry else {
             return;
         };
-        let strategy = self.sketch_strategy_label();
         registry.inc_counter(
             "ferret_sketch_objects_total",
-            "Objects sketched on the ingest path, by construction strategy.",
-            &[("strategy", strategy)],
+            "Objects sketched on the ingest path.",
+            &[],
             objects as u64,
         );
         registry.observe_latency(
             "ferret_sketch_build_seconds",
-            "Wall time of the ingest sketch-construction stage, by strategy.",
-            &[("strategy", strategy)],
+            "Wall time of the ingest sketch-construction stage.",
+            &[],
             elapsed,
         );
         let secs = elapsed.as_secs_f64();
@@ -745,33 +619,10 @@ impl SearchEngine {
                 .gauge(
                     "ferret_sketch_objects_per_sec",
                     "Ingest sketch-construction throughput of the most recent batch.",
-                    &[("strategy", strategy)],
+                    &[],
                 )
                 .set((objects as f64 / secs) as i64);
         }
-    }
-
-    /// Changes the filtering strategy. Switching away from
-    /// [`FilterStrategy::Scan`] builds the multi-index from the stored
-    /// sketches; switching to it drops the index. Results are
-    /// byte-identical across strategies.
-    pub fn set_filter_strategy(&mut self, strategy: FilterStrategy) -> Result<()> {
-        self.config.filter_strategy = strategy;
-        self.storage
-            .set_index_enabled(strategy != FilterStrategy::Scan)
-    }
-
-    /// The multi-index over segment sketches, if the monolithic layout
-    /// maintains one (`None` for the segmented layout, whose indexes are
-    /// per-segment).
-    pub fn filter_index(&self) -> Option<&ShardedSketchIndex> {
-        self.storage.monolithic_index()
-    }
-
-    /// Approximate resident size of the filter index(es), in bytes (0
-    /// when the strategy is [`FilterStrategy::Scan`]).
-    pub fn filter_index_bytes(&self) -> usize {
-        self.storage.index_bytes()
     }
 
     /// Point-in-time statistics of the storage layout (segment counts,
@@ -794,8 +645,8 @@ impl SearchEngine {
     }
 
     /// Runs compaction to quiescence inline: merges small or
-    /// removal-heavy segment runs and builds their indexes synchronously.
-    /// For the monolithic layout this rebuilds the index in place.
+    /// removal-heavy segment runs synchronously (no-op for the monolithic
+    /// layout).
     pub fn compact(&mut self) -> Result<()> {
         self.storage.merge()
     }
@@ -825,16 +676,15 @@ impl SearchEngine {
         // them (at zero) even before the first post-enable insert — the
         // initial import typically happens before telemetry is wired up.
         if let Some(registry) = &self.telemetry {
-            let strategy = self.sketch_strategy_label();
             registry.counter(
                 "ferret_sketch_objects_total",
-                "Objects sketched on the ingest path, by construction strategy.",
-                &[("strategy", strategy)],
+                "Objects sketched on the ingest path.",
+                &[],
             );
             registry.gauge(
                 "ferret_sketch_objects_per_sec",
                 "Ingest sketch-construction throughput of the most recent batch.",
-                &[("strategy", strategy)],
+                &[],
             );
             // Pushdown counters likewise appear at zero so dashboards can
             // tell "no hybrid queries yet" from "series missing".
@@ -1105,9 +955,6 @@ impl SearchEngine {
         t.segments_scanned = stats.segments_scanned;
         t.distance_evals = stats.distance_evals;
         t.results = results;
-        if t.sketch.is_some() {
-            t.sketch_strategy = Some(self.sketch_strategy_label().to_string());
-        }
         if let Some(registry) = &self.telemetry {
             Self::record_query_metrics(registry, t);
         }
@@ -1139,24 +986,18 @@ impl SearchEngine {
             );
         }
         if let Some(st) = &trace.sketch {
-            // The sketch stage carries which construction strategy built the
-            // query sketch: "classic" or "one-pass".
-            let strategy = trace.sketch_strategy.as_deref().unwrap_or("classic");
             registry.observe_latency(
                 "ferret_query_stage_seconds",
                 "Per-stage query latency (sketch, filter scan, EMD rank).",
-                &[("stage", "sketch"), ("mode", mode), ("strategy", strategy)],
+                &[("stage", "sketch"), ("mode", mode)],
                 st.duration,
             );
         }
         if let Some(st) = &trace.filter {
-            // The filter stage additionally carries which execution path
-            // ran: "scan", "indexed", or "indexed-fallback".
-            let strategy = trace.filter_strategy.as_deref().unwrap_or("scan");
             registry.observe_latency(
                 "ferret_query_stage_seconds",
                 "Per-stage query latency (sketch, filter scan, EMD rank).",
-                &[("stage", "filter"), ("mode", mode), ("strategy", strategy)],
+                &[("stage", "filter"), ("mode", mode)],
                 st.duration,
             );
         }
@@ -1413,82 +1254,20 @@ impl SearchEngine {
                 threads: 1,
             });
         }
-        // Strategy dispatch: `Indexed` always probes (and falls back to a
-        // scan when the probe cannot prove exactness); `Auto` probes only
-        // when the corpus is large, at least one indexed segment exists,
-        // and the thresholds make a fallback impossible, so it never pays
-        // for a wasted probe.
-        let probe_set = match self.config.filter_strategy {
-            FilterStrategy::Scan => None,
-            FilterStrategy::Indexed => self.storage.probe_set(),
-            FilterStrategy::Auto => self.storage.probe_set().filter(|ps| {
-                self.len() >= AUTO_INDEX_MIN_OBJECTS
-                    && ps
-                        .exact_radius()
-                        .is_some_and(|r| options.filter.guarantees_exact_probe(&qs, r))
-            }),
-        };
         let clock = StageClock::start(trace.is_some());
-        let mut strategy = "scan";
-        let mut probe_stats: Option<ProbeStats> = None;
-        let mut filter_threads = 0usize;
         let live = self.storage.live_refs();
-        let scan_fallback = |threads_out: &mut usize| -> Result<(
-            HashSet<ObjectId>,
-            FilterStats,
-            Vec<FilterStats>,
-        )> {
-            let dataset: Vec<(ObjectId, &SketchedObject)> = live
-                .iter()
-                .filter_map(|&(id, so, _)| {
-                    if !self.allowed(id, options) {
-                        return None;
-                    }
-                    Some((id, so))
-                })
-                .collect();
-            let threads = self.config.parallelism.threads_for(dataset.len());
-            *threads_out = threads;
-            filter_candidates_sharded_traced(&qs, &dataset, &options.filter, threads)
-        };
-        let (candidates, fstats, shard_stats): (_, FilterStats, Vec<FilterStats>) = match probe_set
-        {
-            Some(ps) => {
-                let shard_count: usize = ps.parts.iter().map(|p| p.index.num_shards()).sum();
-                let threads = self.config.parallelism.threads_for(shard_count.max(1));
-                filter_threads = threads;
-                match filter_candidates_indexed_multi(
-                    &qs,
-                    &ps.parts,
-                    &ps.extras,
-                    &options.filter,
-                    options.restrict.as_ref(),
-                    threads,
-                )? {
-                    IndexedFilterOutcome::Exact {
-                        candidates,
-                        stats,
-                        probe,
-                    } => {
-                        strategy = "indexed";
-                        probe_stats = Some(probe);
-                        (candidates, stats, Vec::new())
-                    }
-                    IndexedFilterOutcome::Fallback { probe } => {
-                        strategy = "indexed-fallback";
-                        probe_stats = Some(probe);
-                        scan_fallback(&mut filter_threads)?
-                    }
-                }
-            }
-            None => scan_fallback(&mut filter_threads)?,
-        };
+        let dataset: Vec<(ObjectId, &SketchedObject)> = live
+            .iter()
+            .filter_map(|&(id, so, _)| self.allowed(id, options).then_some((id, so)))
+            .collect();
+        let filter_threads = self.config.parallelism.threads_for(dataset.len());
+        let (candidates, fstats, shard_stats) =
+            filter_candidates_sharded_traced(&qs, &dataset, &options.filter, filter_threads)?;
         if let (Some(t), Some(elapsed)) = (trace.as_mut(), clock.elapsed()) {
             t.filter = Some(StageTrace {
                 duration: elapsed,
                 threads: filter_threads,
             });
-            t.filter_strategy = Some(strategy.to_string());
             t.shards = shard_stats
                 .iter()
                 .map(|s| ShardTrace {
@@ -1497,21 +1276,6 @@ impl SearchEngine {
                 })
                 .collect();
             t.candidates = candidates.len();
-        }
-        if let (Some(registry), Some(probe)) = (&self.telemetry, &probe_stats) {
-            registry.inc_counter(
-                "ferret_filter_buckets_pruned_total",
-                "Index buckets skipped because their block value differed from the query's.",
-                &[],
-                probe.buckets_pruned as u64,
-            );
-            registry.inc_counter(
-                "ferret_filter_restrict_pruned_total",
-                "Index entries skipped inside the probe because the attribute \
-                 candidate set excluded them.",
-                &[],
-                probe.restrict_pruned as u64,
-            );
         }
         if let (Some(registry), Some(allowed)) = (&self.telemetry, &options.restrict) {
             // Predicate pushdown: count queries that carried a candidate

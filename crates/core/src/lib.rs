@@ -62,16 +62,14 @@ pub mod prelude {
         QueryStats, RankingMethod, SearchEngine,
     };
     pub use crate::error::{CoreError, Result};
-    pub use crate::filter::{FilterParams, FilterScan, FilterStats, FilterStrategy, ProbeStats};
+    pub use crate::filter::{FilterParams, FilterScan, FilterStats};
     pub use crate::index::{BandedSketchIndex, BandingParams};
     pub use crate::object::{DataObject, ObjectId, Segment};
     pub use crate::parallel::Parallelism;
     pub use crate::plugin::{Extractor, FileExtractor};
     pub use crate::rank::SearchResult;
     pub use crate::segment::{IndexLayout, IndexStorage, StorageStats};
-    pub use crate::sketch::{
-        BitVec, ShardedSketchIndex, SketchBuilder, SketchIndex, SketchParams, SketchedObject,
-    };
+    pub use crate::sketch::{BitVec, SketchBuilder, SketchParams, SketchedObject};
     pub use crate::telemetry::{
         Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, ShardTrace, StageTrace,
     };

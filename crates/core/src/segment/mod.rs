@@ -1,29 +1,25 @@
-//! Index storage layouts: the monolithic engine state and the LSM-style
-//! segmented layout, behind one [`IndexStorage`] seam.
+//! Storage layouts for the engine's records: the monolithic object map and
+//! the LSM-style segmented layout, behind one [`IndexStorage`] seam.
 //!
-//! The engine historically owned one mutable object map plus one mutable
-//! [`ShardedSketchIndex`]; every structural change (index rebuild, retune)
-//! was stop-the-world. This module extracts that state behind a trait with
-//! two implementations:
+//! Both layouts store records only (sketches plus optional originals);
+//! the filter stage scans whatever [`IndexStorage::live_refs`] returns.
 //!
-//! * [`MonolithicStorage`] — the original behavior: one insertion-ordered
-//!   map and one incrementally maintained index.
+//! * [`MonolithicStorage`] — one insertion-ordered map; removals take
+//!   effect in place.
 //! * [`SegmentedStorage`] — an LSM-style layout: a small mutable
 //!   **memtable** absorbs inserts; when it reaches the configured size it
-//!   is **sealed** into an immutable segment; a background **compaction**
-//!   worker merges adjacent small segments and builds each merged
-//!   segment's index off the write path; removals land in per-segment
-//!   **dead sets** until compaction reclaims them.
+//!   is **sealed** into an immutable segment; removals land in per-segment
+//!   **dead sets**, and a background **compaction** worker reclaims them
+//!   and merges runs of small segments off the write path.
 //!
 //! The exactness contract is layout-independent: query results are
 //! bit-identical across layouts for the same live object set (pinned by
-//! `tests/segmented_index.rs`), because probes and scans share the same
-//! total-order heap admission (see [`crate::filter`]).
+//! `tests/segmented_index.rs`), because the filter scan's heap admission
+//! is a total order that ignores record order (see [`crate::filter`]).
 
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::filter::IndexedPart;
 use crate::object::{DataObject, ObjectId};
 use crate::sketch::SketchedObject;
 use crate::telemetry::MetricsRegistry;
@@ -35,17 +31,15 @@ mod segmented;
 pub use monolithic::MonolithicStorage;
 pub use segmented::SegmentedStorage;
 
-/// Which storage layout backs the engine's object maps and sketch index.
+/// Which storage layout backs the engine's records.
 ///
 /// Both layouts answer every query bit-identically; they differ in how
-/// structural maintenance interacts with ingest. `Monolithic` mutates one
-/// index in place and rebuilds it stop-the-world; `Segmented` seals
-/// immutable segments and compacts them in the background, so reads never
-/// wait on an index build.
+/// removals and ingest are laid out. `Monolithic` mutates one map in
+/// place; `Segmented` seals immutable segments and compacts them in the
+/// background.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexLayout {
-    /// One mutable object map and one mutable sketch index (the original
-    /// engine behavior).
+    /// One mutable, insertion-ordered object map.
     #[default]
     Monolithic,
     /// LSM-style memtable + immutable sealed segments with background
@@ -86,59 +80,16 @@ pub struct StorageStats {
     pub memtable_objects: usize,
     /// Immutable sealed segments (0 for monolithic).
     pub sealed_segments: usize,
-    /// Sealed segments whose per-segment index has been built.
-    pub indexed_segments: usize,
     /// Removed objects whose storage has not been reclaimed yet.
     pub tombstones: usize,
 }
 
-/// Everything the indexed filter path needs from a storage layout: the
-/// immutable per-segment indexes (with their dead sets) plus the records
-/// that are not indexed yet and must be scanned outright.
-///
-/// Fed to [`crate::filter::filter_candidates_indexed_multi`].
-pub struct ProbeSet<'a> {
-    /// Indexed parts, in segment order.
-    pub parts: Vec<IndexedPart<'a>>,
-    /// Live unindexed records (memtable + segments awaiting compaction),
-    /// in insertion order.
-    pub extras: Vec<(ObjectId, &'a SketchedObject)>,
-}
-
-impl ProbeSet<'_> {
-    /// The guaranteed-exact probe radius of the *weakest* indexed part,
-    /// or `None` when there are no indexed parts (the probe is then a
-    /// full scan and unconditionally exact).
-    pub fn exact_radius(&self) -> Option<u32> {
-        self.parts.iter().map(|p| p.index.exact_radius()).min()
-    }
-}
-
-/// A pinned read view of an [`IndexStorage`]: the epoch it was taken at,
-/// the probe surface, and every live record.
-///
-/// Borrowing `&self` keeps the storage immutable for the snapshot's
-/// lifetime, so the epoch, probe set, and live list are mutually
-/// consistent — a reader iterating the snapshot never sees a half-applied
-/// seal or compaction.
-pub struct StorageSnapshot<'a> {
-    /// The storage's epoch when the snapshot was taken. Advances on every
-    /// mutation (insert, tombstone, seal, compaction apply), so equal
-    /// epochs imply identical visible state.
-    pub epoch: u64,
-    /// The indexed probe surface, `None` when indexing is disabled.
-    pub probe: Option<ProbeSet<'a>>,
-    /// Every live record in insertion order: sealed segments first (in
-    /// seal order), then the memtable.
-    pub live: Vec<(ObjectId, &'a SketchedObject, Option<&'a DataObject>)>,
-}
-
-/// The storage seam between the engine and its object/index state.
+/// The storage seam between the engine and its records.
 ///
 /// One implementation per [`IndexLayout`]. All mutation happens through
 /// `&mut self` (the service serializes writers behind its lock); readers
 /// borrow plain `&self` views, so the borrow checker enforces that a
-/// snapshot can never observe a torn mutation.
+/// reader can never observe a torn mutation.
 pub trait IndexStorage: Send + Sync {
     /// The layout this storage implements.
     fn layout(&self) -> IndexLayout;
@@ -187,10 +138,9 @@ pub trait IndexStorage: Send + Sync {
     fn seal(&mut self) -> Result<()>;
 
     /// Runs compaction to quiescence *inline* and deterministically:
-    /// applies any finished background merges, then merges/builds until no
-    /// maintenance is due. For monolithic storage this rebuilds the index
-    /// from the live set (reclaiming tombstones) — the stop-the-world
-    /// behavior the segmented layout exists to avoid.
+    /// applies any finished background merges, then merges until no
+    /// maintenance is due. A no-op for monolithic storage, which removes
+    /// in place.
     fn merge(&mut self) -> Result<()>;
 
     /// Applies finished background work and schedules any due compaction,
@@ -199,35 +149,11 @@ pub trait IndexStorage: Send + Sync {
     /// an idle write path.
     fn maintain(&mut self) -> Result<()>;
 
-    /// Enables or disables sketch indexing (the [`FilterStrategy::Scan`]
-    /// strategy disables it).
-    ///
-    /// [`FilterStrategy::Scan`]: crate::filter::FilterStrategy::Scan
-    fn set_index_enabled(&mut self, enabled: bool) -> Result<()>;
-
-    /// True if sketch indexing is enabled.
-    fn index_enabled(&self) -> bool;
-
-    /// The indexed probe surface, `None` when indexing is disabled.
-    fn probe_set(&self) -> Option<ProbeSet<'_>>;
-
-    /// The monolithic sketch index, if this layout maintains exactly one
-    /// (diagnostics; segmented storage returns `None`).
-    fn monolithic_index(&self) -> Option<&crate::sketch::ShardedSketchIndex> {
-        None
-    }
-
-    /// Approximate resident bytes of all sketch indexes.
-    fn index_bytes(&self) -> usize;
-
     /// Point-in-time layout statistics.
     fn stats(&self) -> StorageStats;
 
     /// Monotone version counter; advances on every visible mutation.
     fn epoch(&self) -> u64;
-
-    /// Takes a pinned, mutually consistent read view.
-    fn snapshot(&self) -> StorageSnapshot<'_>;
 
     /// Wires (or unwires) the metrics registry the storage publishes its
     /// gauges and compaction series into.

@@ -1,84 +1,39 @@
-//! The original storage layout: one insertion-ordered object map and one
-//! incrementally maintained [`ShardedSketchIndex`].
+//! The original storage layout: one insertion-ordered object map.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
-use crate::filter::IndexedPart;
 use crate::object::{DataObject, ObjectId};
-use crate::sketch::{ShardedSketchIndex, SketchedObject};
+use crate::sketch::SketchedObject;
 use crate::telemetry::MetricsRegistry;
 use ferret_store::SegmentStore;
 
-use super::{IndexLayout, IndexStorage, ProbeSet, StorageSnapshot, StorageStats};
+use super::{IndexLayout, IndexStorage, StorageStats};
 
-/// One mutable object map plus one mutable sketch index. Removals take
-/// effect immediately; `merge` rebuilds the index in place (the
-/// stop-the-world behavior [`super::SegmentedStorage`] exists to avoid).
+/// One mutable object map. Removals take effect immediately, so there is
+/// nothing to seal or compact.
+#[derive(Default)]
 pub struct MonolithicStorage {
-    nbits: usize,
     order: Vec<ObjectId>,
     objects: HashMap<ObjectId, DataObject>,
     sketches: HashMap<ObjectId, SketchedObject>,
-    index: Option<ShardedSketchIndex>,
-    index_enabled: bool,
     epoch: u64,
-    telemetry: Option<Arc<MetricsRegistry>>,
 }
 
 impl std::fmt::Debug for MonolithicStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MonolithicStorage")
             .field("live", &self.order.len())
-            .field("index_enabled", &self.index_enabled)
             .field("epoch", &self.epoch)
             .finish_non_exhaustive()
     }
 }
 
 impl MonolithicStorage {
-    /// Creates an empty monolithic storage for sketches of `nbits` bits.
-    /// `index_enabled` mirrors the engine's filter strategy: `false` for
-    /// scan-only engines, which never pay for index maintenance.
-    pub fn new(nbits: usize, index_enabled: bool) -> Result<Self> {
-        let index = if index_enabled {
-            Some(ShardedSketchIndex::new(nbits)?)
-        } else {
-            None
-        };
-        Ok(Self {
-            nbits,
-            order: Vec::new(),
-            objects: HashMap::new(),
-            sketches: HashMap::new(),
-            index,
-            index_enabled,
-            epoch: 0,
-            telemetry: None,
-        })
-    }
-
-    fn rebuilt_index(&self) -> Result<ShardedSketchIndex> {
-        let mut index = ShardedSketchIndex::new(self.nbits)?;
-        for id in &self.order {
-            if let Some(so) = self.sketches.get(id) {
-                index.insert(*id, so)?;
-            }
-        }
-        Ok(index)
-    }
-
-    fn publish_gauges(&self) {
-        if let Some(registry) = &self.telemetry {
-            registry
-                .gauge(
-                    "ferret_index_memory_bytes",
-                    "Approximate resident size of the sketch filter index.",
-                    &[],
-                )
-                .set(self.index_bytes() as i64);
-        }
+    /// Creates an empty monolithic storage.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -127,16 +82,12 @@ impl IndexStorage for MonolithicStorage {
         if self.sketches.contains_key(&id) {
             return Err(CoreError::DuplicateObject(id.0));
         }
-        if let Some(index) = self.index.as_mut() {
-            index.insert(id, &sketched)?;
-        }
         self.sketches.insert(id, sketched);
         if let Some(object) = original {
             self.objects.insert(id, object);
         }
         self.order.push(id);
         self.epoch += 1;
-        self.publish_gauges();
         Ok(())
     }
 
@@ -145,11 +96,7 @@ impl IndexStorage for MonolithicStorage {
         self.objects.remove(&id);
         if present {
             self.order.retain(|&x| x != id);
-            if let Some(index) = self.index.as_mut() {
-                index.remove(id);
-            }
             self.epoch += 1;
-            self.publish_gauges();
         }
         Ok(present)
     }
@@ -159,11 +106,6 @@ impl IndexStorage for MonolithicStorage {
     }
 
     fn merge(&mut self) -> Result<()> {
-        if self.index_enabled {
-            self.index = Some(self.rebuilt_index()?);
-            self.epoch += 1;
-            self.publish_gauges();
-        }
         Ok(())
     }
 
@@ -171,48 +113,11 @@ impl IndexStorage for MonolithicStorage {
         Ok(())
     }
 
-    fn set_index_enabled(&mut self, enabled: bool) -> Result<()> {
-        if enabled == self.index_enabled {
-            return Ok(());
-        }
-        self.index_enabled = enabled;
-        self.index = if enabled {
-            Some(self.rebuilt_index()?)
-        } else {
-            None
-        };
-        self.epoch += 1;
-        self.publish_gauges();
-        Ok(())
-    }
-
-    fn index_enabled(&self) -> bool {
-        self.index_enabled
-    }
-
-    fn probe_set(&self) -> Option<ProbeSet<'_>> {
-        self.index.as_ref().map(|index| ProbeSet {
-            parts: vec![IndexedPart { index, dead: None }],
-            extras: Vec::new(),
-        })
-    }
-
-    fn monolithic_index(&self) -> Option<&ShardedSketchIndex> {
-        self.index.as_ref()
-    }
-
-    fn index_bytes(&self) -> usize {
-        self.index
-            .as_ref()
-            .map_or(0, ShardedSketchIndex::memory_bytes)
-    }
-
     fn stats(&self) -> StorageStats {
         StorageStats {
             live_objects: self.order.len(),
             memtable_objects: 0,
             sealed_segments: 0,
-            indexed_segments: 0,
             tombstones: 0,
         }
     }
@@ -221,18 +126,7 @@ impl IndexStorage for MonolithicStorage {
         self.epoch
     }
 
-    fn snapshot(&self) -> StorageSnapshot<'_> {
-        StorageSnapshot {
-            epoch: self.epoch,
-            probe: self.probe_set(),
-            live: self.live_refs(),
-        }
-    }
-
-    fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
-        self.telemetry = registry;
-        self.publish_gauges();
-    }
+    fn set_telemetry(&mut self, _registry: Option<Arc<MetricsRegistry>>) {}
 
     fn attach_persistence(&mut self, _store: SegmentStore) -> Result<()> {
         Ok(())
@@ -255,15 +149,11 @@ mod tests {
         (obj, so)
     }
 
-    fn test_builder() -> SketchBuilder {
-        let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
-        SketchBuilder::new(params, 7)
-    }
-
     #[test]
     fn insert_tombstone_roundtrip() {
-        let builder = test_builder();
-        let mut storage = MonolithicStorage::new(builder.nbits(), true).unwrap();
+        let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
+        let builder = SketchBuilder::new(params, 7);
+        let mut storage = MonolithicStorage::new();
         let (obj, so) = sketched(&builder, &[0.1, 0.2]);
         storage.insert(ObjectId(1), so, Some(obj)).unwrap();
         assert!(storage.contains(ObjectId(1)));
@@ -275,20 +165,5 @@ mod tests {
         assert!(storage.epoch() > e0);
         assert!(storage.is_empty());
         assert_eq!(storage.stats(), StorageStats::default());
-    }
-
-    #[test]
-    fn index_toggle_rebuilds() {
-        let builder = test_builder();
-        let mut storage = MonolithicStorage::new(builder.nbits(), false).unwrap();
-        let (_, so) = sketched(&builder, &[0.3, 0.4]);
-        storage.insert(ObjectId(9), so, None).unwrap();
-        assert!(storage.probe_set().is_none());
-        assert_eq!(storage.index_bytes(), 0);
-        storage.set_index_enabled(true).unwrap();
-        let probe = storage.probe_set().unwrap();
-        assert_eq!(probe.parts.len(), 1);
-        assert!(probe.extras.is_empty());
-        assert!(storage.monolithic_index().unwrap().contains(ObjectId(9)));
     }
 }

@@ -1,16 +1,16 @@
 //! LSM-style segmented storage: a mutable memtable, immutable sealed
-//! segments (each carrying its own build-once sketch index), per-segment
-//! dead sets for removals, and a background compaction worker.
+//! segments, per-segment dead sets for removals, and a background
+//! compaction worker.
 //!
 //! Concurrency model: all mutation happens through `&mut self` (the
 //! service serializes writers), so the only cross-thread state is the
 //! compaction mailbox. Writers enqueue a merge job carrying `Arc` clones
 //! of the input segments plus a snapshot of their dead sets; the worker
-//! merges off-thread (including the expensive index build) and posts a
-//! [`MergeOutcome`] to an outbox. The next `&mut` operation applies it:
-//! if the input run is still present and the generation matches, the run
-//! is spliced out for the merged segment, carrying forward any removals
-//! that landed after the snapshot (`dead_now − dead_claimed`). Stale
+//! merges off-thread and posts a [`MergeOutcome`] to an outbox. The next
+//! `&mut` operation applies it: if the input run is still present and
+//! the generation matches, the run is spliced out for the merged segment,
+//! carrying forward any removals that landed after the snapshot
+//! (`dead_now − dead_claimed`). Stale
 //! outcomes are discarded — the inputs are immutable, so a discarded
 //! merge wastes work but can never corrupt state.
 
@@ -19,22 +19,19 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::error::CoreError;
 use crate::error::Result;
-use crate::filter::IndexedPart;
 use crate::object::{DataObject, ObjectId};
-use crate::sketch::{ShardedSketchIndex, SketchedObject};
+use crate::sketch::SketchedObject;
 use crate::telemetry::{MetricsRegistry, Unit, LATENCY_BUCKETS_NS};
 use ferret_store::{SegmentRecord, SegmentStore};
 
-use super::{store_err, IndexLayout, IndexStorage, ProbeSet, StorageSnapshot, StorageStats};
+use super::{store_err, IndexLayout, IndexStorage, StorageStats};
 
 const COMPACTIONS_HELP: &str = "Segment compaction merges completed.";
 const COMPACTION_SECONDS_HELP: &str = "Latency of segment compaction merges.";
 const SEGMENTS_HELP: &str = "Immutable sealed segments in the engine.";
 const MEMTABLE_HELP: &str = "Objects in the mutable memtable awaiting seal.";
-const INDEX_BYTES_HELP: &str = "Approximate resident size of the sketch filter index.";
 
-/// An immutable sealed segment: a slice of the corpus in insertion order,
-/// plus (usually) a sketch index built once at merge time.
+/// An immutable sealed segment: a slice of the corpus in insertion order.
 struct Segment {
     /// Storage-local segment id (also used to match compaction outcomes
     /// back to their input run).
@@ -43,9 +40,6 @@ struct Segment {
     ids: Vec<ObjectId>,
     sketches: HashMap<ObjectId, SketchedObject>,
     objects: HashMap<ObjectId, DataObject>,
-    /// Built once when the compactor merges this segment; `None` for a
-    /// freshly sealed memtable (sealing must stay cheap).
-    index: Option<ShardedSketchIndex>,
 }
 
 impl Segment {
@@ -66,8 +60,6 @@ struct SegmentSlot {
 struct MergeJob {
     generation: u64,
     out_id: u64,
-    nbits: usize,
-    build_index: bool,
     inputs: Vec<Arc<Segment>>,
     dead_claimed: Vec<HashSet<ObjectId>>,
     telemetry: Option<Arc<MetricsRegistry>>,
@@ -83,7 +75,7 @@ struct MergeOutcome {
     generation: u64,
     input_ids: Vec<u64>,
     dead_claimed: Vec<HashSet<ObjectId>>,
-    merged: Result<Segment>,
+    merged: Segment,
 }
 
 #[derive(Default)]
@@ -135,13 +127,7 @@ fn worker_loop(shared: Arc<CompactorShared>) {
         };
         let start = std::time::Instant::now();
         let input_ids = job.inputs.iter().map(|s| s.id).collect();
-        let merged = merge_segments(
-            job.out_id,
-            job.nbits,
-            job.build_index,
-            &job.inputs,
-            &job.dead_claimed,
-        );
+        let merged = merge_segments(job.out_id, &job.inputs, &job.dead_claimed);
         if let Some(registry) = &job.telemetry {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
@@ -166,11 +152,9 @@ fn worker_loop(shared: Arc<CompactorShared>) {
 /// occupies exactly its inputs' place in the global insertion order.
 fn merge_segments(
     out_id: u64,
-    nbits: usize,
-    build_index: bool,
     inputs: &[Arc<Segment>],
     dead_claimed: &[HashSet<ObjectId>],
-) -> Result<Segment> {
+) -> Segment {
     let mut ids = Vec::new();
     let mut sketches = HashMap::new();
     let mut objects = HashMap::new();
@@ -190,35 +174,20 @@ fn merge_segments(
             }
         }
     }
-    let index = if build_index {
-        let mut index = ShardedSketchIndex::new(nbits)?;
-        for id in &ids {
-            if let Some(so) = sketches.get(id) {
-                index.insert(*id, so)?;
-            }
-        }
-        Some(index)
-    } else {
-        None
-    };
-    Ok(Segment {
+    Segment {
         id: out_id,
         ids,
         sketches,
         objects,
-        index,
-    })
+    }
 }
 
 /// LSM-style [`IndexStorage`]: inserts land in a small mutable memtable,
 /// sealed segments are immutable, and a background worker merges small or
-/// removal-heavy runs (building each merged segment's index off the write
-/// path). Reads never wait on an index build.
+/// removal-heavy runs off the write path.
 pub struct SegmentedStorage {
-    nbits: usize,
     memtable_size: usize,
     compaction: bool,
-    index_enabled: bool,
     mem_order: Vec<ObjectId>,
     mem_sketches: HashMap<ObjectId, SketchedObject>,
     mem_objects: HashMap<ObjectId, DataObject>,
@@ -226,8 +195,7 @@ pub struct SegmentedStorage {
     next_segment_id: u64,
     epoch: u64,
     /// Bumped whenever the slot list is invalidated wholesale (inline
-    /// merge, index toggle); outcomes from older generations are
-    /// discarded on apply.
+    /// merge); outcomes from older generations are discarded on apply.
     generation: u64,
     /// At most one background merge outstanding.
     inflight: bool,
@@ -252,12 +220,10 @@ impl SegmentedStorage {
     /// threshold (clamped to at least 1); `compaction` controls the
     /// background worker — with it off, segments only merge through
     /// explicit [`IndexStorage::merge`] calls (deterministic, for tests).
-    pub fn new(nbits: usize, index_enabled: bool, memtable_size: usize, compaction: bool) -> Self {
+    pub fn new(memtable_size: usize, compaction: bool) -> Self {
         Self {
-            nbits,
             memtable_size: memtable_size.max(1),
             compaction,
-            index_enabled,
             mem_order: Vec::new(),
             mem_sketches: HashMap::new(),
             mem_objects: HashMap::new(),
@@ -287,9 +253,6 @@ impl SegmentedStorage {
             registry
                 .gauge("ferret_memtable_objects", MEMTABLE_HELP, &[])
                 .set(self.mem_order.len() as i64);
-            registry
-                .gauge("ferret_index_memory_bytes", INDEX_BYTES_HELP, &[])
-                .set(self.index_bytes() as i64);
         }
     }
 
@@ -312,11 +275,10 @@ impl SegmentedStorage {
             let Some(start) = self.find_run(&outcome.input_ids) else {
                 continue;
             };
-            let merged = outcome.merged?;
             self.splice_run(
                 start,
                 outcome.input_ids.len(),
-                merged,
+                outcome.merged,
                 &outcome.dead_claimed,
             )?;
         }
@@ -369,7 +331,7 @@ impl SegmentedStorage {
         Ok(())
     }
 
-    /// Freezes the memtable into a new (unindexed) sealed segment.
+    /// Freezes the memtable into a new sealed segment.
     fn seal_memtable(&mut self) -> Result<()> {
         if self.mem_order.is_empty() {
             return Ok(());
@@ -381,7 +343,6 @@ impl SegmentedStorage {
             ids: std::mem::take(&mut self.mem_order),
             sketches: std::mem::take(&mut self.mem_sketches),
             objects: std::mem::take(&mut self.mem_objects),
-            index: None,
         };
         self.slots.push(SegmentSlot {
             segment: Arc::new(segment),
@@ -395,17 +356,14 @@ impl SegmentedStorage {
     }
 
     /// Picks the next contiguous run to compact: the first maximal run of
-    /// two or more candidate slots (unindexed while indexing is on, small,
-    /// or removal-heavy), else a lone slot that needs an index build or a
-    /// removal sweep. Returns `(start, len)`.
+    /// two or more candidate slots (small or removal-heavy), else a lone
+    /// removal-heavy slot that needs a sweep. Returns `(start, len)`.
     fn plan_merge(&self) -> Option<(usize, usize)> {
         let small_limit = self.memtable_size.saturating_mul(4).max(8);
-        let needs_rewrite = |slot: &SegmentSlot| {
-            (self.index_enabled && slot.segment.index.is_none())
-                || slot.dead.len() * 2 >= slot.segment.ids.len().max(1)
-        };
+        let removal_heavy =
+            |slot: &SegmentSlot| slot.dead.len() * 2 >= slot.segment.ids.len().max(1);
         let candidate = |slot: &SegmentSlot| {
-            needs_rewrite(slot) || slot.segment.live_count(&slot.dead) < small_limit
+            removal_heavy(slot) || slot.segment.live_count(&slot.dead) < small_limit
         };
         let mut start = 0;
         while start < self.slots.len() {
@@ -420,10 +378,10 @@ impl SegmentedStorage {
             if end - start >= 2 {
                 return Some((start, end - start));
             }
-            // A lone candidate is only worth rewriting if it needs an
-            // index build or a removal sweep; re-merging a small but
-            // healthy segment by itself would loop forever.
-            if needs_rewrite(&self.slots[start]) {
+            // A lone candidate is only worth rewriting if it needs a
+            // removal sweep; re-merging a small but healthy segment by
+            // itself would loop forever.
+            if removal_heavy(&self.slots[start]) {
                 return Some((start, 1));
             }
             start = end;
@@ -495,8 +453,6 @@ impl SegmentedStorage {
         let job = MergeJob {
             generation: self.generation,
             out_id,
-            nbits: self.nbits,
-            build_index: self.index_enabled,
             inputs,
             dead_claimed,
             telemetry: self.telemetry.clone(),
@@ -546,13 +502,7 @@ impl SegmentedStorage {
         let out_id = self.next_segment_id;
         self.next_segment_id += 1;
         let begin = std::time::Instant::now();
-        let merged = merge_segments(
-            out_id,
-            self.nbits,
-            self.index_enabled,
-            &inputs,
-            &dead_claimed,
-        )?;
+        let merged = merge_segments(out_id, &inputs, &dead_claimed);
         if let Some(registry) = &self.telemetry {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
@@ -698,95 +648,17 @@ impl IndexStorage for SegmentedStorage {
         Ok(())
     }
 
-    fn set_index_enabled(&mut self, enabled: bool) -> Result<()> {
-        self.apply_pending()?;
-        if enabled == self.index_enabled {
-            return Ok(());
-        }
-        self.index_enabled = enabled;
-        // In-flight jobs were planned under the other indexing mode.
-        self.generation += 1;
-        self.epoch += 1;
-        self.schedule_compaction();
-        self.publish_gauges();
-        Ok(())
-    }
-
-    fn index_enabled(&self) -> bool {
-        self.index_enabled
-    }
-
-    fn probe_set(&self) -> Option<ProbeSet<'_>> {
-        if !self.index_enabled {
-            return None;
-        }
-        let mut parts = Vec::new();
-        let mut extras = Vec::new();
-        for slot in &self.slots {
-            match &slot.segment.index {
-                Some(index) => parts.push(IndexedPart {
-                    index,
-                    dead: if slot.dead.is_empty() {
-                        None
-                    } else {
-                        Some(&slot.dead)
-                    },
-                }),
-                None => {
-                    for id in &slot.segment.ids {
-                        if slot.dead.contains(id) {
-                            continue;
-                        }
-                        if let Some(so) = slot.segment.sketches.get(id) {
-                            extras.push((*id, so));
-                        }
-                    }
-                }
-            }
-        }
-        for id in &self.mem_order {
-            if let Some(so) = self.mem_sketches.get(id) {
-                extras.push((*id, so));
-            }
-        }
-        Some(ProbeSet { parts, extras })
-    }
-
-    fn index_bytes(&self) -> usize {
-        if !self.index_enabled {
-            return 0;
-        }
-        self.slots
-            .iter()
-            .filter_map(|s| s.segment.index.as_ref())
-            .map(ShardedSketchIndex::memory_bytes)
-            .sum()
-    }
-
     fn stats(&self) -> StorageStats {
         StorageStats {
             live_objects: self.len(),
             memtable_objects: self.mem_order.len(),
             sealed_segments: self.slots.len(),
-            indexed_segments: self
-                .slots
-                .iter()
-                .filter(|s| s.segment.index.is_some())
-                .count(),
             tombstones: self.slots.iter().map(|s| s.dead.len()).sum(),
         }
     }
 
     fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    fn snapshot(&self) -> StorageSnapshot<'_> {
-        StorageSnapshot {
-            epoch: self.epoch,
-            probe: self.probe_set(),
-            live: self.live_refs(),
-        }
     }
 
     fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
@@ -843,7 +715,7 @@ mod tests {
     #[test]
     fn seal_and_inline_merge_preserve_order() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 4, false);
+        let mut storage = SegmentedStorage::new(4, false);
         fill(&mut storage, &builder, 0..10);
         let stats = storage.stats();
         assert_eq!(stats.live_objects, 10);
@@ -855,14 +727,13 @@ mod tests {
         assert_eq!(storage.live_ids(), expect);
         let stats = storage.stats();
         assert_eq!(stats.sealed_segments, 1);
-        assert_eq!(stats.indexed_segments, 1);
         assert_eq!(stats.tombstones, 0);
     }
 
     #[test]
     fn tombstone_then_reinsert_moves_to_memtable() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 2, false);
+        let mut storage = SegmentedStorage::new(2, false);
         fill(&mut storage, &builder, 0..4);
         assert!(storage.tombstone(ObjectId(1)).unwrap());
         assert!(!storage.contains(ObjectId(1)));
@@ -882,44 +753,34 @@ mod tests {
     #[test]
     fn background_compaction_applies_on_next_write() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 2, true);
+        let mut storage = SegmentedStorage::new(2, true);
         fill(&mut storage, &builder, 0..8);
-        // The worker needs a moment; poll through maintain().
+        // Four small sealed segments; the worker needs a moment to merge
+        // them, so poll through maintain().
         for _ in 0..200 {
             storage.maintain().unwrap();
-            if storage.stats().indexed_segments > 0 {
+            if storage.stats().sealed_segments < 4 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert!(
-            storage.stats().indexed_segments > 0,
-            "{:?}",
-            storage.stats()
-        );
+        assert!(storage.stats().sealed_segments < 4, "{:?}", storage.stats());
         assert_eq!(storage.len(), 8);
         let expect: Vec<ObjectId> = (0..8).map(ObjectId).collect();
         assert_eq!(storage.live_ids(), expect);
     }
 
     #[test]
-    fn probe_set_covers_all_live_records() {
+    fn live_refs_cover_segments_and_memtable_minus_tombstones() {
         let builder = test_builder();
-        let mut storage = SegmentedStorage::new(builder.nbits(), true, 3, false);
+        let mut storage = SegmentedStorage::new(3, false);
         fill(&mut storage, &builder, 0..8);
         storage.merge().unwrap();
         fill(&mut storage, &builder, 8..10);
         storage.tombstone(ObjectId(0)).unwrap();
-        let probe = storage.probe_set().unwrap();
-        let indexed: usize = probe
-            .parts
-            .iter()
-            .map(|p| {
-                p.index.len()
-                    - p.dead
-                        .map_or(0, |d| d.iter().filter(|id| p.index.contains(**id)).count())
-            })
-            .sum();
-        assert_eq!(indexed + probe.extras.len(), storage.len());
+        let ids: Vec<ObjectId> = storage.live_refs().iter().map(|(id, _, _)| *id).collect();
+        let expect: Vec<ObjectId> = (1..10).map(ObjectId).collect();
+        assert_eq!(ids, expect);
+        assert_eq!(ids.len(), storage.len());
     }
 }

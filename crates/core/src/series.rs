@@ -59,12 +59,9 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_commands_total", C, "Protocol commands executed, by command.";
     "ferret_compaction_seconds", HL, "Latency of segment compaction merges.";
     "ferret_compactions_total", C, "Segment compaction merges completed.";
-    "ferret_filter_buckets_pruned_total", C, "Hamming-index buckets skipped by the triangle-inequality bound.";
-    "ferret_filter_restrict_pruned_total", C, "Objects excluded from the filter scan by an attribute restriction.";
     "ferret_fusion_queries_total", C, "Hybrid queries executed, by fusion mode.";
     "ferret_http_request_seconds", HL, "HTTP request latency, by endpoint.";
     "ferret_http_requests_total", C, "HTTP requests served, by endpoint and status.";
-    "ferret_index_memory_bytes", G, "Resident size of the in-memory sketch filter index.";
     "ferret_inflight_queries", G, "Queries currently admitted and executing.";
     "ferret_inflight_queries_peak", G, "High-water mark of concurrently executing queries.";
     "ferret_insert_batch_size", HS, "Objects per insert batch.";
@@ -84,7 +81,7 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_segments", G, "Immutable sealed segments in the engine.";
     "ferret_sketch_build_seconds", HL, "Sketch-construction latency per ingest batch.";
     "ferret_sketch_objects_per_sec", G, "Ingest sketch-construction throughput of the most recent batch.";
-    "ferret_sketch_objects_total", C, "Objects sketched on the ingest path, by construction strategy.";
+    "ferret_sketch_objects_total", C, "Objects sketched on the ingest path.";
     "ferret_store_errors_total", C, "Store-layer failures surfaced by the service, by operation.";
 ];
 

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use super::bitvec::BitVec;
-use super::onepass::{OnePassPlan, SketchStrategy};
+use super::onepass::OnePassPlan;
 use super::params::SketchParams;
 use crate::error::{CoreError, Result};
 use crate::object::DataObject;
@@ -65,27 +65,15 @@ pub struct SketchBuilder {
     rnd_i: Vec<u32>,
     /// `rnd_t[n * K + k]`: sampled thresholds.
     rnd_t: Vec<f32>,
-    /// How Algorithm 2 evaluates the pairs. Strategies are byte-identical
-    /// in output; see [`SketchStrategy`].
-    strategy: SketchStrategy,
-    /// The compiled per-dimension plan; `Some` iff the strategy is
-    /// [`SketchStrategy::OnePass`].
-    plan: Option<OnePassPlan>,
+    /// The pairs compiled into per-dimension runs; Algorithm 2 runs on
+    /// this plan (see [`OnePassPlan`]).
+    plan: OnePassPlan,
 }
 
 impl SketchBuilder {
-    /// Runs Algorithm 1 with the default [`SketchStrategy::Classic`]
-    /// evaluation strategy.
+    /// Runs Algorithm 1: generates the `N × K` random `(i, t)` pairs and
+    /// compiles them into per-dimension threshold runs.
     pub fn new(params: SketchParams, seed: u64) -> Self {
-        Self::with_strategy(params, seed, SketchStrategy::Classic)
-    }
-
-    /// Runs Algorithm 1: generates the `N × K` random `(i, t)` pairs and,
-    /// for [`SketchStrategy::OnePass`], compiles them into per-dimension
-    /// threshold runs. The strategy never changes sketch bytes — the
-    /// random stream is drawn identically first — so builders with equal
-    /// `(params, seed)` are interchangeable regardless of strategy.
-    pub fn with_strategy(params: SketchParams, seed: u64, strategy: SketchStrategy) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let p = params.dimension_probabilities();
         // Cumulative distribution for inverse-transform sampling of i.
@@ -115,13 +103,11 @@ impl SketchBuilder {
             rnd_i.push(i as u32);
             rnd_t.push(t);
         }
-        let plan = (strategy == SketchStrategy::OnePass)
-            .then(|| OnePassPlan::build(&params, &rnd_i, &rnd_t));
+        let plan = OnePassPlan::build(&params, &rnd_i, &rnd_t);
         Self {
             params,
             rnd_i,
             rnd_t,
-            strategy,
             plan,
         }
     }
@@ -131,15 +117,9 @@ impl SketchBuilder {
         &self.params
     }
 
-    /// The evaluation strategy this builder uses.
-    pub fn strategy(&self) -> SketchStrategy {
-        self.strategy
-    }
-
-    /// The compiled one-pass plan, when the strategy is
-    /// [`SketchStrategy::OnePass`].
-    pub fn one_pass_plan(&self) -> Option<&OnePassPlan> {
-        self.plan.as_ref()
+    /// The compiled one-pass plan.
+    pub fn one_pass_plan(&self) -> &OnePassPlan {
+        &self.plan
     }
 
     /// Sketch length in bits (`N`).
@@ -161,15 +141,15 @@ impl SketchBuilder {
     /// Sketches raw components (dimensionality must match the parameters).
     pub fn sketch_components(&self, v: &[f32]) -> BitVec {
         debug_assert_eq!(v.len(), self.params.dim());
-        match &self.plan {
-            Some(plan) => plan.sketch_components(v),
-            None => self.sketch_components_classic(v),
-        }
+        self.plan.sketch_components(v)
     }
 
-    /// The classic Algorithm 2 loop: every raw `(i, t)` pair evaluated
-    /// independently.
-    fn sketch_components_classic(&self, v: &[f32]) -> BitVec {
+    /// The paper's Algorithm 2 loop, every raw `(i, t)` pair evaluated
+    /// independently in `O(N·K)`: the reference oracle the one-pass plan
+    /// must match bit for bit. Tests and fixtures compare against it; the
+    /// engine never sketches with it.
+    pub fn sketch_components_reference(&self, v: &[f32]) -> BitVec {
+        debug_assert_eq!(v.len(), self.params.dim());
         let n = self.params.nbits;
         let k = self.params.xor_folds;
         let mut out = BitVec::zeros(n);
@@ -411,22 +391,18 @@ mod tests {
         assert_eq!(so.segments_by_weight(), vec![1, 0]);
     }
 
-    /// The one-pass plan must be bit-identical to the classic loop on
+    /// The one-pass plan must be bit-identical to the reference loop on
     /// every input, including components outside the [min, max] ranges
     /// (early-termination paths) and exactly on run boundaries.
     #[test]
-    fn one_pass_matches_classic_bit_for_bit() {
+    fn one_pass_matches_reference_bit_for_bit() {
         for (n, k, d, seed) in [
             (64, 1, 4, 7u64),
             (128, 2, 8, 21),
             (256, 4, 6, 3),
             (96, 3, 1, 0),
         ] {
-            let p = params(n, k, d);
-            let classic = SketchBuilder::new(p.clone(), seed);
-            let onepass = SketchBuilder::with_strategy(p, seed, SketchStrategy::OnePass);
-            assert_eq!(classic.strategy(), SketchStrategy::Classic);
-            assert_eq!(onepass.strategy(), SketchStrategy::OnePass);
+            let b = SketchBuilder::new(params(n, k, d), seed);
             for probe in 0..40u64 {
                 let comps: Vec<f32> = (0..d)
                     .map(|i| {
@@ -435,10 +411,9 @@ mod tests {
                         x - 0.2
                     })
                     .collect();
-                let v = fv(&comps);
                 assert_eq!(
-                    classic.sketch(&v).unwrap(),
-                    onepass.sketch(&v).unwrap(),
+                    b.sketch(&fv(&comps)).unwrap(),
+                    b.sketch_components_reference(&comps),
                     "n={n} k={k} d={d} seed={seed} probe={probe}"
                 );
             }
@@ -446,9 +421,9 @@ mod tests {
     }
 
     /// Weighted dimensions (including zero-range, zero-probability ones)
-    /// compile into plans that still match the classic loop.
+    /// compile into plans that still match the reference loop.
     #[test]
-    fn one_pass_matches_classic_with_dim_weights() {
+    fn one_pass_matches_reference_with_dim_weights() {
         let p = SketchParams::with_options(
             128,
             2,
@@ -457,24 +432,21 @@ mod tests {
             Some(vec![5.0, 1.0, 0.5]),
         )
         .unwrap();
-        let classic = SketchBuilder::new(p.clone(), 99);
-        let onepass = SketchBuilder::with_strategy(p, 99, SketchStrategy::OnePass);
+        let b = SketchBuilder::new(p, 99);
         for probe in 0..20 {
             let x = probe as f32 * 0.3 - 1.5;
-            let v = fv(&[x, 2.0, x * 2.0]);
-            assert_eq!(classic.sketch(&v).unwrap(), onepass.sketch(&v).unwrap());
+            let v = [x, 2.0, x * 2.0];
+            assert_eq!(b.sketch_components(&v), b.sketch_components_reference(&v));
         }
     }
 
-    /// NaN components produce all-false raw bits in the classic loop;
+    /// NaN components produce all-false raw bits in the reference loop;
     /// the plan's early termination must agree.
     #[test]
-    fn one_pass_matches_classic_under_nan_components() {
-        let p = params(128, 2, 4);
-        let classic = SketchBuilder::new(p.clone(), 5);
-        let onepass = SketchBuilder::with_strategy(p, 5, SketchStrategy::OnePass);
+    fn one_pass_matches_reference_under_nan_components() {
+        let b = SketchBuilder::new(params(128, 2, 4), 5);
         let v = [f32::NAN, 0.5, f32::NAN, 0.9];
-        assert_eq!(classic.sketch_components(&v), onepass.sketch_components(&v));
+        assert_eq!(b.sketch_components(&v), b.sketch_components_reference(&v));
     }
 
     /// Regression: NaN segment weights must not make the segment order

@@ -9,17 +9,10 @@
 
 pub mod bitvec;
 pub mod builder;
-pub mod diskdb;
-pub mod hamming_index;
 pub mod onepass;
 pub mod params;
 
 pub use bitvec::BitVec;
 pub use builder::{SketchBuilder, SketchedObject};
-pub use diskdb::{
-    filter_candidates_on_disk, filter_candidates_on_disk_sharded, SketchFileReader,
-    SketchFileWriter,
-};
-pub use hamming_index::{ShardedSketchIndex, SketchIndex, DEFAULT_SHARD_OBJECTS};
-pub use onepass::{OnePassPlan, SketchStrategy};
+pub use onepass::OnePassPlan;
 pub use params::SketchParams;

@@ -4,7 +4,7 @@
 //! `(i, t)` pairs independently per vector: `O(N·K)` comparisons each of
 //! which XORs one raw bit into an output bit. Following the shape of
 //! *DartMinHash* (Christiani) and *Fast Similarity Sketching*
-//! (Dahlgaard–Knudsen–Thorup), the one-pass strategy reorganizes the same
+//! (Dahlgaard–Knudsen–Thorup), the one-pass plan reorganizes the same
 //! random pairs into per-dimension **plans** so a vector is sketched in a
 //! single sweep over its components:
 //!
@@ -23,55 +23,13 @@
 //!   rarely produce sketch updates.
 //!
 //! The result is *bit-identical* to the classic construction for the same
-//! parameters and seed — the strategy is a pure performance knob — while
-//! the per-vector work drops from `O(N·K)` comparisons to
-//! `O(D·(log(N·K/D) + N/64 + S))` word operations, independent of `K`.
+//! parameters and seed, while the per-vector work drops from `O(N·K)`
+//! comparisons to `O(D·(log(N·K/D) + N/64 + S))` word operations,
+//! independent of `K`. The classic loop survives only as the test oracle
+//! [`SketchBuilder::sketch_components_reference`](super::SketchBuilder::sketch_components_reference).
 
 use super::bitvec::BitVec;
 use super::params::SketchParams;
-use crate::error::{CoreError, Result};
-
-/// How the sketch construction unit evaluates its `N × K` random pairs.
-///
-/// Both strategies produce **byte-identical sketches** for the same
-/// parameters and seed (pinned by the golden-sketch fixtures and the
-/// cross-strategy proptests); they differ only in the work done per
-/// vector. This mirrors the [`FilterStrategy`](crate::filter::FilterStrategy)
-/// and [`Parallelism`](crate::parallel::Parallelism) knob pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SketchStrategy {
-    /// The paper's Algorithm 2: evaluate each of the `N × K` pairs
-    /// independently — `O(N·K)` comparisons per vector.
-    #[default]
-    Classic,
-    /// Pre-sorted per-dimension plans with checkpointed XOR-fold masks:
-    /// ~one pass over the vector's components per sketch, with work
-    /// independent of `K`.
-    OnePass,
-}
-
-impl std::fmt::Display for SketchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SketchStrategy::Classic => "classic",
-            SketchStrategy::OnePass => "one-pass",
-        })
-    }
-}
-
-impl std::str::FromStr for SketchStrategy {
-    type Err = CoreError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "classic" => Ok(SketchStrategy::Classic),
-            "one-pass" | "onepass" | "one_pass" => Ok(SketchStrategy::OnePass),
-            other => Err(CoreError::InvalidSketchParams(format!(
-                "unknown sketch strategy {other:?} (expected classic or one-pass)"
-            ))),
-        }
-    }
-}
 
 /// Checkpoint stride `S`: a prefix mask is precomputed every `S` entries
 /// of a run, so applying a prefix costs one mask XOR plus at most `S − 1`
@@ -89,7 +47,8 @@ struct Run {
     mask_start: u32,
 }
 
-/// The pre-sorted execution plan of the one-pass strategy.
+/// The pre-sorted execution plan every [`SketchBuilder`](super::SketchBuilder)
+/// sketches with.
 ///
 /// Built once per [`SketchBuilder`](super::SketchBuilder) from the same
 /// `N × K` random `(i, t)` pairs the classic loop walks; sketching then
@@ -239,26 +198,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strategy_parses_and_displays() {
-        for (s, v) in [
-            ("classic", SketchStrategy::Classic),
-            ("one-pass", SketchStrategy::OnePass),
-            ("onepass", SketchStrategy::OnePass),
-            ("one_pass", SketchStrategy::OnePass),
-        ] {
-            assert_eq!(s.parse::<SketchStrategy>().unwrap(), v);
-        }
-        assert!("fast".parse::<SketchStrategy>().is_err());
-        assert_eq!(SketchStrategy::Classic.to_string(), "classic");
-        assert_eq!(SketchStrategy::OnePass.to_string(), "one-pass");
-        assert_eq!(SketchStrategy::default(), SketchStrategy::Classic);
-    }
-
-    #[test]
     fn plan_reports_memory() {
         let params = SketchParams::with_options(64, 2, vec![0.0; 4], vec![1.0; 4], None).unwrap();
-        let b = super::super::SketchBuilder::with_strategy(params, 3, SketchStrategy::OnePass);
-        let plan = b.one_pass_plan().expect("one-pass builder has a plan");
+        let b = super::super::SketchBuilder::new(params, 3);
+        let plan = b.one_pass_plan();
         assert!(plan.memory_bytes() > 0);
         assert_eq!(plan.nbits(), 64);
     }

@@ -583,14 +583,8 @@ pub struct QueryTrace {
     pub total: Duration,
     /// Sketching the query object (absent for sketch-seeded queries).
     pub sketch: Option<StageTrace>,
-    /// Which sketch construction strategy built the query sketch:
-    /// `"classic"` or `"one-pass"` (absent when no sketch stage ran).
-    pub sketch_strategy: Option<String>,
     /// The filtering scan (filter mode only).
     pub filter: Option<StageTrace>,
-    /// Which filtering path ran: `"scan"`, `"indexed"`, or
-    /// `"indexed-fallback"` (filter mode only).
-    pub filter_strategy: Option<String>,
     /// Ranking the candidates.
     pub rank: Option<StageTrace>,
     /// Objects visited during scanning.
@@ -630,18 +624,12 @@ impl QueryTrace {
                 )
             })
             .collect();
-        let opt_str = |s: &Option<String>| match s {
-            Some(s) => format!("\"{}\"", escape_label_value(s)),
-            None => "null".to_string(),
-        };
         format!(
-            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"sketch_strategy\":{},\"filter\":{},\"filter_strategy\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{},\"shards\":[{}]}}",
+            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"filter\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{},\"shards\":[{}]}}",
             escape_label_value(&self.mode),
             format_f64(self.total.as_secs_f64()),
             stage(&self.sketch),
-            opt_str(&self.sketch_strategy),
             stage(&self.filter),
-            opt_str(&self.filter_strategy),
             stage(&self.rank),
             self.objects_scanned,
             self.segments_scanned,
@@ -794,12 +782,10 @@ mod tests {
                 duration: Duration::from_micros(100),
                 threads: 1,
             }),
-            sketch_strategy: Some("one-pass".into()),
             filter: Some(StageTrace {
                 duration: Duration::from_millis(3),
                 threads: 4,
             }),
-            filter_strategy: Some("indexed".into()),
             rank: Some(StageTrace {
                 duration: Duration::from_millis(2),
                 threads: 2,
@@ -822,7 +808,6 @@ mod tests {
         };
         let json = trace.to_json();
         assert!(json.contains("\"mode\":\"filtering\""), "{json}");
-        assert!(json.contains("\"sketch_strategy\":\"one-pass\""), "{json}");
         assert!(json.contains("\"candidates\":12"), "{json}");
         assert!(json.contains("\"threads\":4"), "{json}");
         assert!(

@@ -4,8 +4,9 @@
 //! Sketch bytes are persisted (disk store, sketch files) and compared
 //! across processes, so the construction must never drift — a change in
 //! RNG stream order, threshold comparison, fold order, or bit packing
-//! would silently corrupt every existing database. Both strategies must
-//! reproduce the fixture exactly.
+//! would silently corrupt every existing database. The fixture is
+//! rendered from the reference Algorithm 2 loop, and the builder's
+//! one-pass plan must reproduce it exactly.
 //!
 //! To regenerate after an *intentional* format change:
 //! `GOLDEN_REGEN=1 cargo test -p ferret-core --test golden_sketches`
@@ -19,7 +20,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use ferret_core::sketch::{SketchBuilder, SketchParams, SketchStrategy};
+use ferret_core::sketch::{BitVec, SketchBuilder, SketchParams};
 
 const SEED: u64 = 0x00FE_44E7;
 const CORPUS_SIZE: usize = 24;
@@ -69,10 +70,10 @@ fn pinned_corpus(params: &SketchParams) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn render_sketches(builder: &SketchBuilder, corpus: &[Vec<f32>]) -> String {
+fn render_sketches(corpus: &[Vec<f32>], sketch: impl Fn(&[f32]) -> BitVec) -> String {
     let mut out = String::new();
     for v in corpus {
-        let sketch = builder.sketch_components(v);
+        let sketch = sketch(v);
         for byte in sketch.to_bytes() {
             write!(out, "{byte:02x}").unwrap();
         }
@@ -85,8 +86,8 @@ fn render_sketches(builder: &SketchBuilder, corpus: &[Vec<f32>]) -> String {
 fn golden_sketches_are_stable() {
     let params = pinned_params();
     let corpus = pinned_corpus(&params);
-    let classic = SketchBuilder::with_strategy(params.clone(), SEED, SketchStrategy::Classic);
-    let rendered = render_sketches(&classic, &corpus);
+    let builder = SketchBuilder::new(params, SEED);
+    let rendered = render_sketches(&corpus, |v| builder.sketch_components_reference(v));
 
     let path = fixture_path();
     if std::env::var_os("GOLDEN_REGEN").is_some() {
@@ -109,12 +110,12 @@ fn golden_sketches_are_stable() {
         );
     }
 
-    // The one-pass strategy must land on the same bytes.
-    let one_pass = SketchBuilder::with_strategy(params, SEED, SketchStrategy::OnePass);
+    // The one-pass plan the engine sketches with must land on the same
+    // bytes.
     assert_eq!(
-        render_sketches(&one_pass, &corpus),
+        render_sketches(&corpus, |v| builder.sketch_components(v)),
         rendered,
-        "one-pass sketches differ from classic on the golden corpus"
+        "one-pass sketches differ from the reference on the golden corpus"
     );
 }
 

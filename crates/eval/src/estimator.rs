@@ -3,7 +3,9 @@
 //! The sketch construction of paper §4.1.1 promises that the Hamming
 //! distance between two `N`-bit sketches estimates a thresholded transform
 //! of the weighted ℓ₁ distance between the original vectors. This module
-//! checks that promise directly, for any [`SketchStrategy`]: it computes
+//! checks that promise directly, for the builder's one-pass plan and for
+//! the reference Algorithm 2 loop
+//! ([`SketchBuilder::sketch_components_reference`]): it computes
 //! the *exact* per-bit collision probability implied by the construction's
 //! sampling distribution, sketches a seeded corpus, and asserts that every
 //! observed pairwise Hamming fraction falls inside a Chernoff/Hoeffding
@@ -15,21 +17,21 @@
 //! Hoeffding's inequality then bounds the deviation of the observed
 //! fraction `h/N` from `P_K` by
 //! `ε = sqrt(ln(2·pairs/δ) / (2N))` with overall failure probability at
-//! most `δ` (union bound over all checked pairs). A strategy whose
+//! most `δ` (union bound over all checked pairs). A sketcher whose
 //! construction is wrong — biased thresholds, skipped flips, broken
 //! XOR-folding — lands outside the band with overwhelming probability,
 //! while any faithful implementation passes for all but a `δ` fraction of
 //! seeds.
 //!
-//! The module also provides a recall-parity check: two engines differing
-//! only in [`SketchStrategy`] must rank identically on a clustered
-//! benchmark suite (the strategies are bit-identical by design, so the
-//! divergence count must be zero).
+//! The module also provides a reference-parity check: an engine's stored
+//! sketches must equal the reference loop's, object by object (the plan
+//! is bit-identical by design, so the divergence count must be zero),
+//! and the engine must recall a clustered benchmark suite.
 
-use ferret_core::engine::{EngineBuilder, EngineConfig, QueryOptions, SearchEngine};
+use ferret_core::engine::{EngineBuilder, EngineConfig, QueryOptions};
 use ferret_core::error::Result;
 use ferret_core::object::{DataObject, ObjectId};
-use ferret_core::sketch::{SketchBuilder, SketchParams, SketchStrategy};
+use ferret_core::sketch::{BitVec, SketchBuilder, SketchParams};
 use ferret_core::vector::FeatureVector;
 
 use crate::benchmark::BenchmarkSuite;
@@ -196,12 +198,30 @@ pub fn evaluate_builder(
     corpus: &[Vec<f32>],
     delta: f64,
 ) -> EstimatorReport {
+    evaluate_sketcher(builder, corpus, delta, |v| builder.sketch_components(v))
+}
+
+/// [`evaluate_builder`] for the builder's reference Algorithm 2 loop
+/// ([`SketchBuilder::sketch_components_reference`]) instead of its plan.
+pub fn evaluate_reference(
+    builder: &SketchBuilder,
+    corpus: &[Vec<f32>],
+    delta: f64,
+) -> EstimatorReport {
+    evaluate_sketcher(builder, corpus, delta, |v| {
+        builder.sketch_components_reference(v)
+    })
+}
+
+fn evaluate_sketcher(
+    builder: &SketchBuilder,
+    corpus: &[Vec<f32>],
+    delta: f64,
+    sketch: impl Fn(&[f32]) -> BitVec,
+) -> EstimatorReport {
     let params = builder.params().clone();
     let n = builder.nbits() as f64;
-    let sketches: Vec<_> = corpus
-        .iter()
-        .map(|v| builder.sketch_components(v))
-        .collect();
+    let sketches: Vec<_> = corpus.iter().map(|v| sketch(v)).collect();
     let pairs = corpus.len() * corpus.len().saturating_sub(1) / 2;
     let tolerance = ((2.0 * pairs.max(1) as f64 / delta).ln() / (2.0 * n)).sqrt();
     let mut checks = Vec::with_capacity(pairs);
@@ -220,19 +240,6 @@ pub fn evaluate_builder(
         }
     }
     EstimatorReport { checks, delta }
-}
-
-/// Builds a sketcher with the given strategy and evaluates it: the
-/// single-call entry point of the harness.
-pub fn evaluate_strategy(
-    params: &SketchParams,
-    seed: u64,
-    strategy: SketchStrategy,
-    corpus: &[Vec<f32>],
-    delta: f64,
-) -> EstimatorReport {
-    let builder = SketchBuilder::with_strategy(params.clone(), seed, strategy);
-    evaluate_builder(&builder, corpus, delta)
 }
 
 /// A deterministic clustered workload for recall checks: `clusters`
@@ -279,74 +286,71 @@ pub fn clustered_objects(
     (objects, sets)
 }
 
-/// The outcome of a Classic-vs-OnePass recall-parity run.
+/// The outcome of a reference-parity run.
 #[derive(Debug, Clone)]
 pub struct ParityReport {
-    /// Quality of the classic-strategy engine.
-    pub classic: QualityScores,
-    /// Quality of the one-pass-strategy engine.
-    pub one_pass: QualityScores,
-    /// Queries executed per engine.
+    /// Retrieval quality of the engine on the suite.
+    pub quality: QualityScores,
+    /// Queries executed.
     pub queries: usize,
-    /// Queries whose ranked result lists differed between the engines.
-    pub divergent_queries: usize,
+    /// Objects whose stored sketches were compared with the reference.
+    pub objects: usize,
+    /// Objects whose stored sketches differed from the reference loop's.
+    pub divergent_objects: usize,
 }
 
 impl ParityReport {
-    /// Whether the two strategies produced identical rankings (and hence
-    /// identical recall) on every query.
+    /// Whether every stored sketch equals the reference sketch.
     pub fn identical(&self) -> bool {
-        self.divergent_queries == 0
+        self.divergent_objects == 0
     }
 }
 
-/// Runs the same benchmark suite against two freshly built engines that
-/// differ only in sketch strategy and compares their ranked results
-/// query by query.
+/// Builds an engine over `objects`, checks every stored sketch against
+/// the reference Algorithm 2 loop segment by segment, and scores the
+/// engine's rankings on `suite`.
 ///
-/// Because `OnePass` is constructed to be bit-identical to `Classic`,
-/// any divergence (a nonzero [`ParityReport::divergent_queries`]) means
-/// one of the constructions is broken — there is no tolerance here.
-pub fn recall_parity(
+/// Query results are a function of the stored sketches (and originals),
+/// so sketch parity means the engine ranks exactly as a reference-built
+/// one would. Any divergence (a nonzero
+/// [`ParityReport::divergent_objects`]) means the one-pass plan is broken
+/// — there is no tolerance here.
+pub fn reference_parity(
     params: &SketchParams,
     seed: u64,
     objects: &[(ObjectId, DataObject)],
     suite: &BenchmarkSuite,
     options: &QueryOptions,
 ) -> Result<ParityReport> {
-    let build = |strategy: SketchStrategy| -> Result<SearchEngine> {
-        let mut config = EngineConfig::basic(params.clone(), seed);
-        config.sketch_strategy = strategy;
-        let mut engine = EngineBuilder::from_config(config).build()?;
-        for (id, object) in objects {
-            engine.insert(*id, object.clone())?;
-        }
-        Ok(engine)
-    };
-    let classic = build(SketchStrategy::Classic)?;
-    let one_pass = build(SketchStrategy::OnePass)?;
+    let mut engine =
+        EngineBuilder::from_config(EngineConfig::basic(params.clone(), seed)).build()?;
+    for (id, object) in objects {
+        engine.insert(*id, object.clone())?;
+    }
+    let builder = engine.sketch_builder();
+    let divergent = objects
+        .iter()
+        .filter(|(id, object)| {
+            let reference: Vec<BitVec> = object
+                .segments()
+                .iter()
+                .map(|seg| builder.sketch_components_reference(seg.vector.components()))
+                .collect();
+            engine.sketched(*id).map(|so| &so.sketches) != Some(&reference)
+        })
+        .count();
 
-    let mut acc_classic = QualityAccumulator::new();
-    let mut acc_one_pass = QualityAccumulator::new();
+    let mut acc = QualityAccumulator::new();
     let mut queries = 0usize;
-    let mut divergent = 0usize;
     for set in &suite.sets {
         let query = set.members[0];
         let mut opts = options.clone();
         opts.k = opts.k.max(2 * (set.members.len() - 1) + 1);
-        let resp_c = classic.query_by_id(query, &opts)?;
-        let resp_o = one_pass.query_by_id(query, &opts)?;
-        let ranked_c: Vec<ObjectId> = resp_c.results.iter().map(|r| r.id).collect();
-        let ranked_o: Vec<ObjectId> = resp_o.results.iter().map(|r| r.id).collect();
+        let resp = engine.query_by_id(query, &opts)?;
+        let ranked: Vec<ObjectId> = resp.results.iter().map(|r| r.id).collect();
         queries += 1;
-        if ranked_c != ranked_o {
-            divergent += 1;
-        }
-        if let Some(s) = score_query(query, &set.members, &ranked_c, classic.len()) {
-            acc_classic.add(s);
-        }
-        if let Some(s) = score_query(query, &set.members, &ranked_o, one_pass.len()) {
-            acc_one_pass.add(s);
+        if let Some(s) = score_query(query, &set.members, &ranked, engine.len()) {
+            acc.add(s);
         }
     }
     let zero = QualityScores {
@@ -355,10 +359,10 @@ pub fn recall_parity(
         average_precision: 0.0,
     };
     Ok(ParityReport {
-        classic: acc_classic.mean().unwrap_or(zero),
-        one_pass: acc_one_pass.mean().unwrap_or(zero),
+        quality: acc.mean().unwrap_or(zero),
         queries,
-        divergent_queries: divergent,
+        objects: objects.len(),
+        divergent_objects: divergent,
     })
 }
 

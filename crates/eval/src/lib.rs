@@ -17,8 +17,9 @@ pub mod runner;
 
 pub use benchmark::{BenchmarkParseError, BenchmarkSuite, SimilaritySet};
 pub use estimator::{
-    clustered_objects, evaluate_builder, evaluate_strategy, folded_differ_probability,
-    raw_differ_probability, recall_parity, seeded_corpus, EstimatorReport, PairCheck, ParityReport,
+    clustered_objects, evaluate_builder, evaluate_reference, folded_differ_probability,
+    raw_differ_probability, reference_parity, seeded_corpus, EstimatorReport, PairCheck,
+    ParityReport,
 };
 pub use metrics::{score_query, QualityAccumulator, QualityScores};
 pub use report::{format_duration, format_ratio, format_score, TextTable};

@@ -1,23 +1,31 @@
-//! Estimator-quality suite: both sketch strategies must produce Hamming
-//! distances that track the analytic collision probability within
-//! Chernoff/Hoeffding tolerance bands, and must rank identically on a
-//! clustered recall benchmark.
+//! Estimator-quality suite: the builder's one-pass plan and the reference
+//! Algorithm 2 loop must both produce Hamming distances that track the
+//! analytic collision probability within Chernoff/Hoeffding tolerance
+//! bands, agree bit for bit, and an engine built on the plan must store
+//! reference sketches and recall a clustered benchmark.
 //!
 //! The bands are sized for an overall failure probability of `DELTA`
 //! over the builder seed; the seeds below are pinned, so the suite is
 //! fully deterministic.
 
 use ferret_core::engine::QueryOptions;
-use ferret_core::sketch::{SketchBuilder, SketchParams, SketchStrategy};
+use ferret_core::sketch::{SketchBuilder, SketchParams};
 use ferret_eval::benchmark::BenchmarkSuite;
 use ferret_eval::estimator::{
-    clustered_objects, evaluate_builder, evaluate_strategy, recall_parity, seeded_corpus,
+    clustered_objects, evaluate_builder, evaluate_reference, reference_parity, seeded_corpus,
+    EstimatorReport,
 };
 
 const DELTA: f64 = 1e-6;
 const SEED: u64 = 0x00FE_44E7;
 
-const STRATEGIES: [SketchStrategy; 2] = [SketchStrategy::Classic, SketchStrategy::OnePass];
+/// The two sketchers under test: the builder's one-pass plan and the
+/// reference loop.
+type Evaluate = fn(&SketchBuilder, &[Vec<f32>], f64) -> EstimatorReport;
+const SKETCHERS: [(&str, Evaluate); 2] = [
+    ("one-pass", evaluate_builder),
+    ("reference", evaluate_reference),
+];
 
 /// Parameter shapes covering the interesting corners of the
 /// construction: no folding, heavy folding, skewed ranges, and explicit
@@ -58,14 +66,15 @@ fn param_shapes() -> Vec<(&'static str, SketchParams)> {
 }
 
 #[test]
-fn both_strategies_pass_tolerance_bands_on_all_shapes() {
+fn plan_and_reference_pass_tolerance_bands_on_all_shapes() {
     for (name, params) in param_shapes() {
         let corpus = seeded_corpus(&params, 12, SEED);
-        for strategy in STRATEGIES {
-            let report = evaluate_strategy(&params, SEED, strategy, &corpus, DELTA);
+        let builder = SketchBuilder::new(params, SEED);
+        for (sketcher, evaluate) in SKETCHERS {
+            let report = evaluate(&builder, &corpus, DELTA);
             assert!(
                 report.pass(),
-                "{name}/{strategy}: {} of {} pairs outside the band \
+                "{name}/{sketcher}: {} of {} pairs outside the band \
                  (max deviation {:.4}, tolerance {:.4})",
                 report.violations().len(),
                 report.checks.len(),
@@ -77,7 +86,7 @@ fn both_strategies_pass_tolerance_bands_on_all_shapes() {
             // the estimator is systematically biased.
             assert!(
                 report.mean_abs_deviation() < report.checks[0].tolerance / 2.0,
-                "{name}/{strategy}: mean deviation {:.4} suspiciously close to band {:.4}",
+                "{name}/{sketcher}: mean deviation {:.4} suspiciously close to band {:.4}",
                 report.mean_abs_deviation(),
                 report.checks[0].tolerance,
             );
@@ -86,15 +95,16 @@ fn both_strategies_pass_tolerance_bands_on_all_shapes() {
 }
 
 #[test]
-fn strategies_report_identical_observations() {
-    // Beyond both being within-band: the two strategies are bit-identical
-    // by construction, so their observed Hamming fractions must agree
-    // exactly, pair for pair.
+fn plan_and_reference_report_identical_observations() {
+    // Beyond both being within-band: the plan is bit-identical to the
+    // reference by construction, so their observed Hamming fractions must
+    // agree exactly, pair for pair.
     for (name, params) in param_shapes() {
         let corpus = seeded_corpus(&params, 10, SEED ^ 0xA5A5);
-        let classic = evaluate_strategy(&params, SEED, SketchStrategy::Classic, &corpus, DELTA);
-        let one_pass = evaluate_strategy(&params, SEED, SketchStrategy::OnePass, &corpus, DELTA);
-        for (c, o) in classic.checks.iter().zip(&one_pass.checks) {
+        let builder = SketchBuilder::new(params, SEED);
+        let reference = evaluate_reference(&builder, &corpus, DELTA);
+        let one_pass = evaluate_builder(&builder, &corpus, DELTA);
+        for (c, o) in reference.checks.iter().zip(&one_pass.checks) {
             assert_eq!(
                 c.observed, o.observed,
                 "{name}: pair ({}, {})",
@@ -160,7 +170,7 @@ fn negative_control_mismatched_builders_fail_bands() {
 }
 
 #[test]
-fn recall_parity_between_strategies_is_exact() {
+fn engine_sketches_match_reference_and_recall_clusters() {
     let params = SketchParams::with_options(256, 2, vec![-1.0; 8], vec![1.0; 8], None).unwrap();
     let (objects, sets) = clustered_objects(&params, 6, 5, 0.02, SEED);
     let suite = BenchmarkSuite::from_sets(&sets);
@@ -168,26 +178,21 @@ fn recall_parity_between_strategies_is_exact() {
         QueryOptions::default(),
         QueryOptions::brute_force_sketch(10),
     ] {
-        let report = recall_parity(&params, SEED, &objects, &suite, &options).unwrap();
+        let report = reference_parity(&params, SEED, &objects, &suite, &options).unwrap();
         assert_eq!(report.queries, 6);
+        assert_eq!(report.objects, objects.len());
         assert!(
             report.identical(),
-            "{} of {} queries diverged between strategies",
-            report.divergent_queries,
-            report.queries
-        );
-        assert_eq!(report.classic.first_tier, report.one_pass.first_tier);
-        assert_eq!(report.classic.second_tier, report.one_pass.second_tier);
-        assert_eq!(
-            report.classic.average_precision,
-            report.one_pass.average_precision
+            "{} of {} stored sketches differ from the reference",
+            report.divergent_objects,
+            report.objects
         );
         // Tight clusters inside the range: the sketch pipeline must
         // actually find them, not merely agree on garbage.
         assert!(
-            report.classic.average_precision > 0.8,
+            report.quality.average_precision > 0.8,
             "average precision {:.3} too low for tight clusters",
-            report.classic.average_precision
+            report.quality.average_precision
         );
     }
 }

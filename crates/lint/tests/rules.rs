@@ -263,7 +263,7 @@ fn ordering_comment_quiet_with_same_or_previous_line_comment() {
 
 // ---------------------------------------------------- strategy-enum-parity --
 
-/// A consistent strategy-enum universe: each contracted enum has Display
+/// A consistent mode-enum universe: each contracted enum has Display
 /// and FromStr over one literal, and every literal appears in the CLI
 /// help files and the README.
 fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
@@ -281,14 +281,6 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
     }
     vec![
         (
-            "crates/core/src/filter.rs",
-            enum_src("FilterStrategy", "scan", "scan"),
-        ),
-        (
-            "crates/core/src/sketch/onepass.rs",
-            enum_src("SketchStrategy", "twopass", "twopass"),
-        ),
-        (
             "crates/core/src/parallel.rs",
             enum_src("Parallelism", "serial", "serial"),
         ),
@@ -302,12 +294,11 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
         ),
         (
             "src/bin/ferret.rs",
-            "const USAGE: &str = \"strategies: scan twopass serial rrf segmented\";\nfn main() {}\n"
-                .to_string(),
+            "const USAGE: &str = \"modes: serial rrf segmented\";\nfn main() {}\n".to_string(),
         ),
         (
             "crates/query/src/protocol.rs",
-            "pub const HELP: &str = \"scan twopass serial rrf segmented\";\n".to_string(),
+            "pub const HELP: &str = \"serial rrf segmented\";\n".to_string(),
         ),
     ]
 }
@@ -315,10 +306,7 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
 fn parity_repo(fusion_display: &str) -> Repo {
     let files = parity_files(fusion_display);
     let refs: Vec<(&str, &str)> = files.iter().map(|(p, t)| (*p, t.as_str())).collect();
-    Repo::from_memory(
-        &refs,
-        &[("README.md", "modes: scan twopass serial rrf segmented")],
-    )
+    Repo::from_memory(&refs, &[("README.md", "modes: serial rrf segmented")])
 }
 
 #[test]
@@ -342,7 +330,7 @@ fn enum_parity_fires_when_enum_file_missing() {
     let repo = Repo::from_memory(&[("crates/foo/src/lib.rs", "pub fn f() {}\n")], &[]);
     let v = fires(&repo, "strategy-enum-parity");
     // One finding per contracted enum whose defining file is absent.
-    assert_eq!(v.len(), 5, "{v:?}");
+    assert_eq!(v.len(), 3, "{v:?}");
 }
 
 // ------------------------------------------------------- report partition --

@@ -494,6 +494,14 @@ mod tests {
             let mut c = Client::connect(addr).unwrap();
             c.send("query id=0 k=2 mode=brute").unwrap()
         });
+        // Start the second client only once the slow query holds the
+        // slot; otherwise the second client may win the race for it and
+        // never see BUSY.
+        let inflight = registry.gauge("ferret_inflight_queries", "", &[]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while inflight.get() < 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // ...while a second keeps trying until it gets turned away. The
         // reply must come back promptly (BUSY, not a queued hang).
         let mut fast = Client::connect(addr).unwrap();

@@ -787,7 +787,6 @@ impl FerretService {
                     segments: fp.segments,
                     sketch_bytes: fp.sketch_bytes,
                     feature_bytes: fp.feature_vector_bytes,
-                    index_bytes: self.engine.filter_index_bytes(),
                     index_segments: st.sealed_segments,
                     memtable_objects: st.memtable_objects,
                 })

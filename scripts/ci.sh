@@ -17,15 +17,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> integration: server, determinism, telemetry, concurrent serving, sketch index"
-cargo test -q --test server_and_acquisition --test parallel_determinism --test telemetry \
-    --test concurrent_serving --test filter_index
+echo "==> cargo test --workspace --no-fail-fast (every crate, every test target)"
+# Fixed seed so the randomized corpora of every proptest are reproducible.
+PROPTEST_SEED=20260805 cargo test -q --workspace --no-fail-fast
 
-echo "==> sketch strategies: estimator quality, golden fixtures, cross-strategy determinism"
-# Fixed seed so the randomized cross-strategy corpora are reproducible.
+echo "==> integration: server, determinism, telemetry, concurrent serving"
+cargo test -q --test server_and_acquisition --test parallel_determinism --test telemetry \
+    --test concurrent_serving
+
+echo "==> sketch construction: estimator quality, golden fixtures, reference equivalence"
+# Fixed seed so the randomized parameter sets and corpora are reproducible.
 cargo test -q -p ferret-eval --test estimator_quality
 cargo test -q -p ferret-core --test golden_sketches
-PROPTEST_SEED=20260805 cargo test -q --test sketch_strategy
+PROPTEST_SEED=20260805 cargo test -q --test sketch_reference
 
 echo "==> hybrid queries: pushdown equivalence, result cache, golden fusion"
 # Fixed seed so the pushdown/cache equivalence corpora are reproducible.
@@ -61,8 +65,7 @@ mkdir "$SMOKE_DIR/watch"
 printf '1 0.1 0.2\n1 0.3 0.4\n' > "$SMOKE_DIR/watch/a.fvec"
 printf '1 0.8 0.9\n' > "$SMOKE_DIR/watch/b.fvec"
 target/release/ferret serve --db "$SMOKE_DIR/db" --watch "$SMOKE_DIR/watch" --dim 2 \
-    --max-inflight 8 --filter-strategy indexed --sketch-strategy one-pass \
-    --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve.log" 2>&1 &
+    --max-inflight 8 --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
 HTTP_ADDR=""
 for _ in $(seq 1 50); do
@@ -113,9 +116,8 @@ done
 # At least one of the parallel searches must have actually returned results.
 grep -l '"results":\[{"id":' "$SMOKE_DIR"/search.* > /dev/null \
     || { echo "no parallel /search returned results:"; head -n 20 "$SMOKE_DIR/search.1"; exit 1; }
-# A filter-mode search must go through the sketch index (the server was
-# started with --filter-strategy indexed) and show up in the strategy-
-# labelled stage metrics below.
+# A filter-mode search must go through the filter scan and show up in
+# the stage metrics below.
 http_get "/search?id=0&k=2&mode=filter" | grep -q '"results":' \
     || { echo "filter-mode /search failed"; exit 1; }
 # Hybrid query, twice: ingestion tagged both files with ext=fvec, so the
@@ -140,23 +142,17 @@ for series in ferret_inflight_queries ferret_inflight_queries_peak ferret_reject
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 done
-# The sketch index instrumented the filter-mode search: the probe counter
-# exists and the filter stage timer carries the indexed strategy label.
-echo "$METRICS" | grep -q "^ferret_filter_buckets_pruned_total" \
-    || { echo "/metrics missing ferret_filter_buckets_pruned_total:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
-echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q 'strategy="indexed' \
-    || { echo "/metrics filter stage missing indexed strategy label:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
-echo "$METRICS" | grep -q "^ferret_index_memory_bytes" \
-    || { echo "/metrics missing ferret_index_memory_bytes:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
-# The server ran with --sketch-strategy one-pass: the eagerly registered
-# ingest series exist and the sketch stage timer of the filter-mode
-# search above carries the one-pass strategy label.
+# The filter-mode search was timed stage by stage: the sketch and filter
+# stage timers exist.
+for stage in sketch filter; do
+    echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q "stage=\"$stage\"" \
+        || { echo "/metrics missing the $stage stage timer:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
+done
+# The eagerly registered ingest series exist.
 for series in ferret_sketch_objects_total ferret_sketch_objects_per_sec; do
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 done
-echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep 'stage="sketch"' | grep -q 'strategy="one-pass"' \
-    || { echo "/metrics sketch stage missing one-pass strategy label:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
 # Hybrid-query instrumentation: the result cache and predicate pushdown
 # were both exercised above, so their series exist and the replayed
 # hybrid search registered as a cache hit (and the cold one as a miss).
@@ -182,7 +178,7 @@ mkdir "$SMOKE_DIR/watch2"
 printf '1 0.1 0.2\n' > "$SMOKE_DIR/watch2/seed0.fvec"
 printf '1 0.8 0.9\n' > "$SMOKE_DIR/watch2/seed1.fvec"
 target/release/ferret serve --db "$SMOKE_DIR/db2" --watch "$SMOKE_DIR/watch2" --dim 2 \
-    --max-inflight 8 --filter-strategy indexed --scan-interval 1 \
+    --max-inflight 8 --scan-interval 1 \
     --index-layout segmented --memtable-size 2 --compaction on \
     --tcp 127.0.0.1:0 --http 127.0.0.1:0 > "$SMOKE_DIR/serve2.log" 2>&1 &
 SERVE_PID=$!

@@ -252,6 +252,13 @@ fn shared_admission_rejects_across_surfaces() {
         let mut client = Client::connect(tcp_addr).unwrap();
         client.send("query id=0 k=2 mode=brute").unwrap()
     });
+    // Hammer HTTP only once the TCP query holds the slot; otherwise an
+    // HTTP query may win the race for it and no 503 ever comes back.
+    let inflight = registry.gauge("ferret_inflight_queries", "", &[]);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while inflight.get() < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // ...and hammer HTTP until a 503 comes back. Replies must be prompt.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut saw_503 = false;

@@ -9,7 +9,8 @@
 use std::path::PathBuf;
 
 use ferret::attr::AttrsBuilder;
-use ferret::core::engine::{EngineConfig, QueryOptions};
+use ferret::core::engine::{EngineBuilder, EngineConfig, QueryOptions};
+use ferret::core::filter::FilterParams;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::sketch::SketchParams;
 use ferret::core::vector::FeatureVector;
@@ -100,6 +101,54 @@ fn sketch_results_identical_after_restart() {
         .unwrap()
         .results;
     assert_eq!(before, after);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery replay gives the same filtering results: a service reopened
+/// from disk answers a filter-mode query exactly as before the restart
+/// and as an engine built fresh from the same objects.
+#[test]
+fn recovery_replay_gives_same_filter_results() {
+    let dir = tmpdir("filter-replay");
+    let opts = QueryOptions::filtering(
+        5,
+        FilterParams {
+            query_segments: 1,
+            candidates_per_segment: 8,
+            base_threshold: Some(6),
+            weight_attenuation: 0.0,
+        },
+    );
+    let object = |i: u64| obj(i as f32 / 50.0, (i % 7) as f32 / 7.0, 0.4);
+    let before = {
+        let mut svc = FerretService::open(&dir, config(), db_opts()).unwrap();
+        for i in 0..50u64 {
+            svc.insert(ObjectId(i), object(i), None).unwrap();
+        }
+        svc.flush().unwrap();
+        svc.engine()
+            .query_by_id(ObjectId(0), &opts)
+            .unwrap()
+            .results
+    };
+    assert!(!before.is_empty());
+
+    let svc = FerretService::open(&dir, config(), db_opts()).unwrap();
+    let after = svc
+        .engine()
+        .query_by_id(ObjectId(0), &opts)
+        .unwrap()
+        .results;
+    assert_eq!(after, before);
+
+    let mut fresh = EngineBuilder::from_config(config()).build().unwrap();
+    for i in 0..50u64 {
+        fresh.insert(ObjectId(i), object(i)).unwrap();
+    }
+    assert_eq!(
+        fresh.query_by_id(ObjectId(0), &opts).unwrap().results,
+        after
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 
-use ferret::core::engine::{EngineConfig, QueryMode, QueryOptions, SearchEngine};
-use ferret::core::filter::{FilterParams, FilterStrategy};
+use ferret::core::engine::{EngineBuilder, EngineConfig, QueryMode, QueryOptions, SearchEngine};
+use ferret::core::filter::FilterParams;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::segment::IndexLayout;
@@ -36,27 +36,23 @@ fn mixed_object(seed: u64, i: u64) -> DataObject {
     )
 }
 
-fn build_pair(
-    seed: u64,
-    strategy: FilterStrategy,
-    memtable: usize,
-) -> (SearchEngine, SearchEngine) {
+fn config(seed: u64) -> EngineConfig {
     let params = SketchParams::new(64, vec![0.0; 3], vec![1.0; 3]).unwrap();
-    let mono = SearchEngine::builder(params.clone(), seed)
-        .filter_strategy(strategy)
-        .parallelism(Parallelism::Serial)
-        .build()
-        .unwrap();
-    // Compaction runs inline (`compaction(false)` + explicit `compact()`)
-    // so the op interleaving below is fully deterministic.
-    let seg = SearchEngine::builder(params, seed)
-        .filter_strategy(strategy)
-        .parallelism(Parallelism::Serial)
-        .index_layout(IndexLayout::Segmented)
-        .memtable_size(memtable)
-        .compaction(false)
-        .build()
-        .unwrap();
+    EngineConfig::basic(params, seed).with_parallelism(Parallelism::Serial)
+}
+
+fn build_pair(seed: u64, memtable: usize) -> (SearchEngine, SearchEngine) {
+    let mono = EngineBuilder::from_config(config(seed)).build().unwrap();
+    // Compaction runs inline (`with_compaction(false)` + explicit
+    // `compact()`) so the op interleaving below is fully deterministic.
+    let seg = EngineBuilder::from_config(
+        config(seed)
+            .with_index_layout(IndexLayout::Segmented)
+            .with_memtable_size(memtable)
+            .with_compaction(false),
+    )
+    .build()
+    .unwrap();
     (mono, seg)
 }
 
@@ -114,15 +110,7 @@ fn assert_twins(mono: &SearchEngine, seg: &SearchEngine, ctx: &str) {
     assert_eq!(a, b, "id set diverged {ctx}");
     let query = mixed_object(0xFE44E7, 999);
     let brute = QueryOptions::brute_force(8);
-    let filtered = QueryOptions::default()
-        .with_mode(QueryMode::Filtering)
-        .with_k(8)
-        .with_filter(FilterParams {
-            query_segments: 2,
-            candidates_per_segment: 4,
-            base_threshold: Some(10),
-            weight_attenuation: 0.25,
-        });
+    let filtered = filtering_options();
     for (name, opts) in [("brute", &brute), ("filtering", &filtered)] {
         let ra = mono.query(&query, opts).unwrap();
         let rb = seg.query(&query, opts).unwrap();
@@ -134,22 +122,32 @@ fn assert_twins(mono: &SearchEngine, seg: &SearchEngine, ctx: &str) {
     }
 }
 
+fn filtering_options() -> QueryOptions {
+    QueryOptions::default()
+        .with_mode(QueryMode::Filtering)
+        .with_k(8)
+        .with_filter(FilterParams {
+            query_segments: 2,
+            candidates_per_segment: 4,
+            base_threshold: Some(10),
+            weight_attenuation: 0.25,
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random interleavings of inserts, removals, seals, inline merges,
     /// and maintenance ticks: the segmented engine answers exactly like
     /// the monolithic one after every structural op, for tiny memtables
-    /// (so even short runs span many segments) and both filter paths.
+    /// (so even short runs span many segments).
     #[test]
     fn segmented_matches_monolithic_under_interleaving(
         ops in prop::collection::vec(op_strategy(), 1..60),
         memtable in 1usize..5,
-        indexed in any::<bool>(),
         seed in 0u64..64,
     ) {
-        let strategy = if indexed { FilterStrategy::Indexed } else { FilterStrategy::Scan };
-        let (mut mono, mut seg) = build_pair(seed, strategy, memtable);
+        let (mut mono, mut seg) = build_pair(seed, memtable);
         for (step, op) in ops.iter().enumerate() {
             apply(&mut mono, op, seed);
             apply(&mut seg, op, seed);
@@ -172,7 +170,7 @@ proptest! {
 /// tombstone draining through compaction.
 #[test]
 fn lifecycle_stats_and_epochs() {
-    let (mut mono, mut seg) = build_pair(7, FilterStrategy::Auto, 4);
+    let (mut mono, mut seg) = build_pair(7, 4);
     let mut last_epoch = seg.storage_epoch();
     for i in 0..32u64 {
         let obj = mixed_object(7, i);
@@ -224,7 +222,7 @@ fn lifecycle_stats_and_epochs() {
 /// must shadow both the tombstone and the original.
 #[test]
 fn reinsert_over_tombstone_uses_newest_payload() {
-    let (mut mono, mut seg) = build_pair(11, FilterStrategy::Scan, 2);
+    let (mut mono, mut seg) = build_pair(11, 2);
     for i in 0..8u64 {
         let obj = mixed_object(11, i);
         mono.insert(ObjectId(i), obj.clone()).unwrap();
@@ -243,6 +241,58 @@ fn reinsert_over_tombstone_uses_newest_payload() {
     assert_eq!(obj, &mixed_object(99, 3), "stale payload resurrected");
 }
 
+/// The filter follows the engine through inserts, removals and
+/// re-inserts: after every mutation both layouts answer a filtering
+/// query exactly like an engine built fresh from the live objects.
+#[test]
+fn filter_tracks_insert_remove_reinsert() {
+    let seed = 0xA5E_u64;
+    let (mono, seg) = build_pair(seed, 4);
+    let mut engines = [mono, seg];
+    let mut live: Vec<(ObjectId, DataObject)> = Vec::new();
+    let check = |engines: &[SearchEngine], live: &[(ObjectId, DataObject)], step: &str| {
+        let mut fresh = EngineBuilder::from_config(config(seed)).build().unwrap();
+        fresh.insert_batch(live.to_vec()).unwrap();
+        let opts = filtering_options();
+        let want = fresh.query_by_id(ObjectId(0), &opts).unwrap().results;
+        for engine in engines {
+            let got = engine.query_by_id(ObjectId(0), &opts).unwrap().results;
+            assert_eq!(
+                got,
+                want,
+                "{} diverged from a fresh engine after {step}",
+                engine.index_layout()
+            );
+        }
+    };
+    let insert = |engines: &mut [SearchEngine], live: &mut Vec<_>, i: u64, obj: DataObject| {
+        for engine in engines.iter_mut() {
+            engine.insert(ObjectId(i), obj.clone()).unwrap();
+        }
+        live.push((ObjectId(i), obj));
+    };
+    for i in 0..40u64 {
+        insert(&mut engines, &mut live, i, mixed_object(seed, i));
+    }
+    check(&engines, &live, "initial load");
+    for i in 40..60u64 {
+        insert(&mut engines, &mut live, i, mixed_object(seed, i));
+    }
+    check(&engines, &live, "incremental insert");
+    for i in (10..30u64).step_by(3) {
+        for engine in engines.iter_mut() {
+            assert!(engine.remove(ObjectId(i)).unwrap());
+        }
+        live.retain(|(id, _)| *id != ObjectId(i));
+    }
+    check(&engines, &live, "removal");
+    for i in (10..30u64).step_by(3) {
+        let obj = mixed_object(seed.wrapping_add(7), i);
+        insert(&mut engines, &mut live, i, obj);
+    }
+    check(&engines, &live, "re-insert after removal");
+}
+
 /// Regression for the rebuild config-drop bug: a service-level sketch
 /// retune replaces the engine wholesale, and the replacement used to be
 /// built from a minimal config that silently reset every knob added
@@ -255,8 +305,7 @@ fn service_retune_preserves_layout_and_bumps_cache_epoch() {
     let config = EngineConfig::basic(params, 5)
         .with_index_layout(IndexLayout::Segmented)
         .with_memtable_size(2)
-        .with_compaction(false)
-        .with_filter_strategy(FilterStrategy::Indexed);
+        .with_compaction(false);
     let mut svc = FerretService::in_memory(config).unwrap();
     for i in 0..12u64 {
         svc.insert(ObjectId(i), mixed_object(5, i), None).unwrap();
@@ -279,7 +328,6 @@ fn service_retune_preserves_layout_and_bumps_cache_epoch() {
     );
     assert_eq!(engine.config().memtable_size, 2);
     assert!(!engine.config().compaction);
-    assert_eq!(engine.filter_strategy(), FilterStrategy::Indexed);
     // The replacement engine re-seals with the preserved memtable size,
     // so the segmented structure survives the retune too.
     let st = engine.storage_stats();

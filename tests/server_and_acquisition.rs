@@ -199,17 +199,13 @@ fn metrics_endpoint_end_to_end() {
         3.0,
         "rank stage not instrumented\n{body}"
     );
-    // The sketch stage records which construction strategy built the
-    // query sketch (classic unless configured otherwise), and the filter
-    // stage which strategy served it; this corpus is below the auto-index
-    // threshold, so the scan path handled it.
     assert_eq!(
-        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"sketch\",strategy=\"classic\"}"),
+        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"sketch\"}"),
         3.0,
         "sketch stage not instrumented\n{body}"
     );
     assert_eq!(
-        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"filter\",strategy=\"scan\"}"),
+        get("ferret_query_stage_seconds_count{mode=\"filtering\",stage=\"filter\"}"),
         3.0,
         "filter stage not instrumented\n{body}"
     );
