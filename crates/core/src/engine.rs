@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use crate::distance::emd::{emd_with_costs, greedy_emd_with_costs, Emd, GreedyEmd, ThresholdedEmd};
 use crate::distance::{ObjectDistance, SegmentDistance};
 use crate::error::{CoreError, Result};
-use crate::filter::{filter_candidates_sharded_traced, FilterParams};
+use crate::filter::{filter_blocks, BlockPart, FilterParams, SketchBlock};
 use crate::object::{DataObject, ObjectId};
 use crate::parallel::{try_map_chunked, Parallelism, DEFAULT_CHUNK};
 use crate::rank::{rank_candidates_parallel, rank_scores, SearchResult};
@@ -753,7 +753,7 @@ impl SearchEngine {
             self.record_ingest_metrics(1, elapsed);
         }
         let original = self.config.store_originals.then_some(object);
-        self.storage.insert(id, sketched, original)
+        self.storage.insert_batch(vec![(id, sketched, original)])
     }
 
     /// Inserts a batch of objects, sketching them in parallel according
@@ -785,11 +785,12 @@ impl SearchEngine {
         if let Some(elapsed) = clock.elapsed() {
             self.record_ingest_metrics(items.len(), elapsed);
         }
-        for ((id, object), so) in items.into_iter().zip(sketched) {
-            let original = self.config.store_originals.then_some(object);
-            self.storage.insert(id, so, original)?;
-        }
-        Ok(())
+        let records = items
+            .into_iter()
+            .zip(sketched)
+            .map(|((id, object), so)| (id, so, self.config.store_originals.then_some(object)))
+            .collect();
+        self.storage.insert_batch(records)
     }
 
     /// Removes an object; returns `true` if it was present. With the
@@ -1089,6 +1090,20 @@ impl SearchEngine {
         }
     }
 
+    /// Packs the live objects of `allowed` into a scratch sketch block, in
+    /// id order, for a restricted filter scan.
+    fn pack_allowed(&self, allowed: &HashSet<ObjectId>) -> Result<SketchBlock> {
+        let mut ids: Vec<ObjectId> = allowed.iter().copied().collect();
+        ids.sort_unstable();
+        let mut block = SketchBlock::default();
+        for id in ids {
+            if let Some(so) = self.storage.sketch(id) {
+                block.push(id, &so.sketches)?;
+            }
+        }
+        Ok(block)
+    }
+
     fn allowed(&self, id: ObjectId, options: &QueryOptions) -> bool {
         options
             .restrict
@@ -1255,14 +1270,20 @@ impl SearchEngine {
             });
         }
         let clock = StageClock::start(trace.is_some());
-        let live = self.storage.live_refs();
-        let dataset: Vec<(ObjectId, &SketchedObject)> = live
-            .iter()
-            .filter_map(|&(id, so, _)| self.allowed(id, options).then_some((id, so)))
-            .collect();
-        let filter_threads = self.config.parallelism.threads_for(dataset.len());
+        // Predicate pushdown packs the allowed live objects into a scratch
+        // block; unrestricted queries stream the storage's own blocks.
+        let packed;
+        let parts = match &options.restrict {
+            Some(allowed) => {
+                packed = self.pack_allowed(allowed)?;
+                vec![BlockPart::live(&packed)]
+            }
+            None => self.storage.block_parts(),
+        };
+        let objects: usize = parts.iter().map(BlockPart::live_objects).sum();
+        let filter_threads = self.config.parallelism.threads_for(objects);
         let (candidates, fstats, shard_stats) =
-            filter_candidates_sharded_traced(&qs, &dataset, &options.filter, filter_threads)?;
+            filter_blocks(&qs, &parts, &options.filter, filter_threads)?;
         if let (Some(t), Some(elapsed)) = (trace.as_mut(), clock.elapsed()) {
             t.filter = Some(StageTrace {
                 duration: elapsed,
@@ -1277,7 +1298,7 @@ impl SearchEngine {
                 .collect();
             t.candidates = candidates.len();
         }
-        if let (Some(registry), Some(allowed)) = (&self.telemetry, &options.restrict) {
+        if let (Some(registry), Some(_)) = (&self.telemetry, &options.restrict) {
             // Predicate pushdown: count queries that carried a candidate
             // set and how many corpus objects it let the filter skip.
             registry.inc_counter(
@@ -1286,10 +1307,7 @@ impl SearchEngine {
                 &[],
                 1,
             );
-            let skipped = live
-                .iter()
-                .filter(|(id, _, _)| !allowed.contains(id))
-                .count();
+            let skipped = self.storage.len() - fstats.objects_scanned;
             registry.inc_counter(
                 "ferret_pushdown_skipped_total",
                 "Objects excluded before heap admission by predicate pushdown.",
@@ -1495,6 +1513,23 @@ mod tests {
         // Filtering must not rank everything.
         assert!(resp.stats.distance_evals < 10);
         assert!(resp.stats.segments_scanned > 0);
+    }
+
+    #[test]
+    fn filtering_an_empty_engine_answers_with_nothing() {
+        let (_, q) = clustered_engine();
+        for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
+            let config = EngineConfig::basic(params(256, 4), 7).with_index_layout(layout);
+            let mut e = EngineBuilder::from_config(config).build().unwrap();
+            let resp = e.query(&q, &QueryOptions::default()).unwrap();
+            assert!(resp.results.is_empty(), "{layout}");
+            assert_eq!(resp.stats.segments_scanned, 0);
+            // Emptied again after an insert: the block keeps its width.
+            e.insert(ObjectId(1), q.clone()).unwrap();
+            assert!(e.remove(ObjectId(1)).unwrap());
+            let resp = e.query(&q, &QueryOptions::default()).unwrap();
+            assert!(resp.results.is_empty(), "{layout}");
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
+use std::ops::Range;
 
 use crate::error::{CoreError, Result};
 use crate::object::ObjectId;
-use crate::sketch::SketchedObject;
+use crate::sketch::{BitVec, SketchedObject};
 
 /// Parameters of the filtering step.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +87,7 @@ pub struct FilterStats {
 }
 
 /// Max-heap entry so the [`BinaryHeap`] keeps the `k` *smallest* distances.
-#[derive(PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 struct HeapEntry {
     hamming: u32,
     object: ObjectId,
@@ -123,13 +124,205 @@ fn admit(heap: &mut BinaryHeap<HeapEntry>, capacity: usize, entry: HeapEntry) {
     }
 }
 
+/// The sketches of one storage part in one contiguous row-major block.
+///
+/// Every row is one dataset segment's sketch, `stride =
+/// nbits.div_ceil(64)` words wide, and the rows of one object are
+/// adjacent. Object slot `s` owns rows `ends[s-1]..ends[s]` and has id
+/// `ids[s]`, so the owner of a row is found by binary search of the
+/// offsets and the block stores no per-row id. A block costs `8 · stride` bytes per
+/// segment plus 12 bytes per object.
+///
+/// Storage keeps one block per part (the monolithic map, the memtable,
+/// each sealed segment) next to the per-object [`SketchedObject`]s, and
+/// [`filter_blocks`] streams the words with no pointer chasing. The width
+/// is fixed by the first row pushed; an empty block has none yet.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SketchBlock {
+    nbits: Option<usize>,
+    words: Vec<u64>,
+    ends: Vec<u32>,
+    ids: Vec<ObjectId>,
+}
+
+impl SketchBlock {
+    /// Sketch width in bits, once the first row has fixed it.
+    pub fn nbits(&self) -> Option<usize> {
+        self.nbits
+    }
+
+    fn stride(&self) -> usize {
+        self.nbits.map_or(0, |n| n.div_ceil(64))
+    }
+
+    /// Number of objects (slots).
+    pub fn objects(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Number of rows (segment sketches).
+    pub fn rows(&self) -> usize {
+        self.ends.last().map_or(0, |&e| e as usize)
+    }
+
+    /// Object ids by slot.
+    pub fn ids(&self) -> &[ObjectId] {
+        &self.ids
+    }
+
+    /// Rows owned by object slot `slot`.
+    pub fn slot_rows(&self, slot: usize) -> Range<usize> {
+        let start = if slot == 0 {
+            0
+        } else {
+            self.ends[slot - 1] as usize
+        };
+        start..self.ends[slot] as usize
+    }
+
+    /// Appends one object's segment sketches as a new slot. Every sketch
+    /// must have the block's width (the first push fixes it, and it must
+    /// not be zero); on error the block is unchanged.
+    pub fn push(&mut self, id: ObjectId, sketches: &[BitVec]) -> Result<()> {
+        let nbits = self.nbits.or(sketches.first().map(BitVec::len));
+        if let Some(nbits) = nbits {
+            if nbits == 0 {
+                return Err(CoreError::InvalidSketchParams(
+                    "zero-width sketches cannot form a block".into(),
+                ));
+            }
+            if let Some(bad) = sketches.iter().find(|s| s.len() != nbits) {
+                return Err(CoreError::SketchLengthMismatch {
+                    left: bad.len(),
+                    right: nbits,
+                });
+            }
+        }
+        let end = u32::try_from(self.rows() + sketches.len())
+            .map_err(|_| CoreError::InvalidSketchParams("sketch block exceeds 2^32 rows".into()))?;
+        self.nbits = nbits;
+        for sketch in sketches {
+            self.words.extend_from_slice(sketch.words());
+        }
+        self.ends.push(end);
+        self.ids.push(id);
+        Ok(())
+    }
+
+    /// Removes object slot `slot`, shifting later slots down by one so
+    /// the slot order stays the insertion order.
+    pub fn remove(&mut self, slot: usize) {
+        let rows = self.slot_rows(slot);
+        let stride = self.stride();
+        self.words.drain(rows.start * stride..rows.end * stride);
+        self.ends.remove(slot);
+        let n = rows.len() as u32;
+        for end in &mut self.ends[slot..] {
+            *end -= n;
+        }
+        self.ids.remove(slot);
+    }
+
+    /// Reserves room for `objects` more slots holding `rows` more rows
+    /// (exact on an empty block). `nbits` gives the width until the
+    /// first row has fixed it.
+    pub fn reserve(&mut self, objects: usize, rows: usize, nbits: usize) {
+        let stride = self.nbits.unwrap_or(nbits).div_ceil(64);
+        self.words.reserve(rows * stride);
+        self.ends.reserve(objects);
+        self.ids.reserve(objects);
+    }
+
+    /// Releases unused capacity (a sealed segment's block never grows).
+    pub fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.ids.shrink_to_fit();
+    }
+
+    /// Bytes the block has allocated (capacity, not length).
+    pub fn capacity_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + self.ends.capacity() * std::mem::size_of::<u32>()
+            + self.ids.capacity() * std::mem::size_of::<ObjectId>()
+    }
+}
+
+/// Hamming distance of `query` (one row) to each row of `rows`, written
+/// to `out`. Two-word rows (the paper's 96-bit image sketches) get a
+/// fixed-width loop the compiler unrolls and vectorises.
+fn row_distances(query: &[u64], rows: &[u64], out: &mut [u32]) {
+    fn fixed<const W: usize>(query: &[u64], rows: &[u64], out: &mut [u32]) {
+        let mut q = [0u64; W];
+        q.copy_from_slice(query);
+        for (o, row) in out.iter_mut().zip(rows.chunks_exact(W)) {
+            *o = q.iter().zip(row).map(|(a, b)| (a ^ b).count_ones()).sum();
+        }
+    }
+    match query.len() {
+        2 => fixed::<2>(query, rows, out),
+        w => {
+            for (o, row) in out.iter_mut().zip(rows.chunks_exact(w)) {
+                *o = query
+                    .iter()
+                    .zip(row)
+                    .map(|(a, b)| (a ^ b).count_ones())
+                    .sum();
+            }
+        }
+    }
+}
+
+/// One storage part as [`filter_blocks`] sees it: a block plus the
+/// removed objects whose rows it still holds (a sealed segment's dead
+/// set; the block's rows are immutable).
+#[derive(Debug, Clone, Copy)]
+pub struct BlockPart<'a> {
+    /// The part's sketch rows.
+    pub block: &'a SketchBlock,
+    /// Removed objects still in `block`. Their rows are skipped at heap
+    /// admission, the only point where they could change the result.
+    pub dead: Option<&'a HashSet<ObjectId>>,
+    /// Rows owned by the `dead` objects.
+    pub dead_rows: usize,
+}
+
+impl<'a> BlockPart<'a> {
+    /// A part with no removed objects.
+    pub fn live(block: &'a SketchBlock) -> Self {
+        Self {
+            block,
+            dead: None,
+            dead_rows: 0,
+        }
+    }
+
+    /// Live objects in the part.
+    pub fn live_objects(&self) -> usize {
+        self.block.objects() - self.dead.map_or(0, HashSet::len)
+    }
+
+    /// Live rows (segment sketches) in the part.
+    pub fn live_rows(&self) -> usize {
+        self.block.rows() - self.dead_rows
+    }
+
+    fn is_dead(&self, id: ObjectId) -> bool {
+        self.dead.is_some_and(|dead| dead.contains(&id))
+    }
+}
+
 /// An incremental filtering pass.
 ///
-/// Feed every `(id, sketched_object)` of the dataset through
-/// [`FilterScan::observe`] (in any storage order) and call
-/// [`FilterScan::finish`] for the candidate set. The convenience wrapper
-/// [`filter_candidates`] drives it from an iterator, and
-/// [`filter_candidates_sharded`] runs one scan per shard and merges them.
+/// Two ways feed it. [`FilterScan::observe`] takes one
+/// `(id, sketched_object)` at a time in any storage order; this is the
+/// **reference row scan** that [`filter_candidates`] and
+/// [`filter_candidates_sharded`] drive and that tests and the benchmark
+/// replay compare the engine against. The engine itself never calls it:
+/// it streams whole [`SketchBlock`]s through [`filter_blocks`]. Both
+/// admit through the same `(hamming, object id)` total order, so they
+/// keep the same heaps.
+#[derive(Clone)]
 pub struct FilterScan {
     /// Sketches of the selected (highest-weight) query segments.
     query_sketches: Vec<crate::sketch::BitVec>,
@@ -172,48 +365,96 @@ impl FilterScan {
         })
     }
 
+    /// Tightest admission bound of query slot `slot`: the weight
+    /// threshold caps entry outright, and a full heap only admits
+    /// distances at or below its current worst (an equal distance can
+    /// still win on object id).
+    fn limit(&self, slot: usize) -> u32 {
+        let threshold = self.thresholds[slot].unwrap_or(u32::MAX);
+        let heap = &self.heaps[slot];
+        match heap.peek() {
+            Some(top) if heap.len() >= self.candidates_per_segment => threshold.min(top.hamming),
+            _ => threshold,
+        }
+    }
+
     /// Feeds one dataset object through the scan.
     pub fn observe(&mut self, id: ObjectId, so: &SketchedObject) -> Result<()> {
         self.stats.objects_scanned += 1;
         self.stats.segments_scanned += so.sketches.len();
         let cap = self.candidates_per_segment;
-        for (slot, qs) in self.query_sketches.iter().enumerate() {
-            let heap = &mut self.heaps[slot];
-            // Tightest admission bound: the weight threshold caps entry
-            // outright, and a full heap only admits distances at or below
-            // its current worst (an equal distance can still win on object
-            // id). The heap-top read is hoisted out of the segment loop:
-            // while the heap is not yet full the bound is the threshold
-            // alone, and once full it only changes after an admission.
-            let threshold = self.thresholds[slot].unwrap_or(u32::MAX);
-            let mut limit = threshold;
-            let mut full = heap.len() >= cap;
-            if full {
-                if let Some(top) = heap.peek() {
-                    limit = limit.min(top.hamming);
-                }
-            }
+        for slot in 0..self.query_sketches.len() {
+            // The bound only changes after an admission, so it is read
+            // once per object and refreshed on admission.
+            let mut limit = self.limit(slot);
             for sketch in &so.sketches {
-                let Some(h) = qs.hamming_within(sketch, limit)? else {
+                let Some(h) = self.query_sketches[slot].hamming_within(sketch, limit)? else {
                     continue;
                 };
                 admit(
-                    heap,
+                    &mut self.heaps[slot],
                     cap,
                     HeapEntry {
                         hamming: h,
                         object: id,
                     },
                 );
-                full = full || heap.len() >= cap;
-                if full {
-                    if let Some(top) = heap.peek() {
-                        limit = threshold.min(top.hamming);
-                    }
-                }
+                limit = self.limit(slot);
             }
         }
         Ok(())
+    }
+
+    /// The block kernel: streams rows `rows` of `part` in chunks. For
+    /// each query slot, a chunk's distances are computed first in a
+    /// tight loop over contiguous words, then offered for admission in
+    /// row order against the slot's current limit. Only an admitted row
+    /// looks up its owner (a binary search of the slot ends). Counts the
+    /// rows streamed and the objects whose last row lies in `rows`, so
+    /// shard counts add up to the part's totals.
+    fn scan_rows(&mut self, part: &BlockPart<'_>, rows: Range<usize>) {
+        const CHUNK: usize = 256;
+        let block = part.block;
+        let stride = block.stride();
+        let cap = self.candidates_per_segment;
+        let query: Vec<u64> = self
+            .query_sketches
+            .iter()
+            .flat_map(|q| q.words().iter().copied())
+            .collect();
+        let mut dist = [0u32; CHUNK];
+        let words = &block.words[rows.start * stride..rows.end * stride];
+        for (c, chunk) in words.chunks(CHUNK * stride).enumerate() {
+            let dist = &mut dist[..chunk.len() / stride];
+            let base = rows.start + c * CHUNK;
+            for (s, q) in query.chunks_exact(stride).enumerate() {
+                row_distances(q, chunk, dist);
+                let mut limit = self.limit(s);
+                for (i, &h) in dist.iter().enumerate() {
+                    if h > limit {
+                        continue;
+                    }
+                    let owner = block.ends.partition_point(|&e| e as usize <= base + i);
+                    let id = block.ids[owner];
+                    if part.is_dead(id) {
+                        continue;
+                    }
+                    admit(
+                        &mut self.heaps[s],
+                        cap,
+                        HeapEntry {
+                            hamming: h,
+                            object: id,
+                        },
+                    );
+                    limit = self.limit(s);
+                }
+            }
+        }
+        let first = block.ends.partition_point(|&e| e as usize <= rows.start);
+        let last = block.ends.partition_point(|&e| e as usize <= rows.end);
+        self.stats.objects_scanned += last - first;
+        self.stats.segments_scanned += rows.len();
     }
 
     /// Merges another scan of the *same query and parameters* into this
@@ -248,7 +489,8 @@ impl FilterScan {
     }
 }
 
-/// Streams the sketch database and produces the candidate object set.
+/// Streams the sketch database and produces the candidate object set
+/// (the reference row scan).
 ///
 /// `dataset` yields `(id, sketched_object)` pairs; iteration order does
 /// not affect the result (ties are broken by object id, not arrival
@@ -268,9 +510,9 @@ where
     Ok(scan.finish())
 }
 
-/// Sharded filtering scan: partitions `dataset` into contiguous chunks,
-/// runs an independent [`FilterScan`] per shard on scoped threads, and
-/// merges the per-shard heaps and statistics.
+/// Sharded reference row scan: partitions `dataset` into contiguous
+/// chunks, runs an independent [`FilterScan`] per shard on scoped
+/// threads, and merges the per-shard heaps and statistics.
 ///
 /// Results are bit-identical to [`filter_candidates`] over the same
 /// slice for every thread count (see [`FilterScan::merge`]). If several
@@ -282,23 +524,8 @@ pub fn filter_candidates_sharded(
     params: &FilterParams,
     threads: usize,
 ) -> Result<(HashSet<ObjectId>, FilterStats)> {
-    let (candidates, stats, _) = filter_candidates_sharded_traced(query, dataset, params, threads)?;
-    Ok((candidates, stats))
-}
-
-/// [`filter_candidates_sharded`] plus the per-shard scan statistics that
-/// went into the merge, for query tracing. The shard list is empty when
-/// the scan ran unsharded (one thread or a tiny dataset).
-pub fn filter_candidates_sharded_traced(
-    query: &SketchedObject,
-    dataset: &[(ObjectId, &SketchedObject)],
-    params: &FilterParams,
-    threads: usize,
-) -> Result<(HashSet<ObjectId>, FilterStats, Vec<FilterStats>)> {
     if threads <= 1 || dataset.len() < 2 {
-        let (candidates, stats) =
-            filter_candidates(query, dataset.iter().map(|&(id, so)| (id, so)), params)?;
-        return Ok((candidates, stats, Vec::new()));
+        return filter_candidates(query, dataset.iter().map(|&(id, so)| (id, so)), params);
     }
     let shard_scans = crate::parallel::map_shards(threads, dataset.len(), |_, range| {
         let mut scan = FilterScan::new(query, params)?;
@@ -308,18 +535,77 @@ pub fn filter_candidates_sharded_traced(
         Ok(scan)
     });
     let mut merged: Option<FilterScan> = None;
-    let mut shard_stats = Vec::with_capacity(shard_scans.len());
     for scan in shard_scans {
         let scan = scan?;
-        shard_stats.push(scan.stats);
         match &mut merged {
             None => merged = Some(scan),
             Some(m) => m.merge(scan),
         }
     }
     let scan = merged.expect("non-empty dataset implies at least one shard");
+    Ok(scan.finish())
+}
+
+/// The engine's filter stage: streams every row of `parts` through the
+/// block kernel, sharding contiguous row ranges over `threads` scoped
+/// workers and merging their heaps.
+///
+/// Candidates and statistics equal [`filter_candidates`] over the live
+/// objects of `parts` (dead rows are never admitted and never counted),
+/// for every thread count. Also returns what each shard streamed (empty
+/// when the scan ran unsharded); a shard counts every row in its range,
+/// dead ones included, and the objects whose last row it holds.
+///
+/// A query whose sketch width differs from a non-empty block's fails
+/// with [`CoreError::SketchLengthMismatch`]; with no rows at all the
+/// answer is empty.
+pub fn filter_blocks(
+    query: &SketchedObject,
+    parts: &[BlockPart<'_>],
+    params: &FilterParams,
+    threads: usize,
+) -> Result<(HashSet<ObjectId>, FilterStats, Vec<FilterStats>)> {
+    let mut scan = FilterScan::new(query, params)?;
+    for part in parts.iter().filter(|p| p.block.rows() > 0) {
+        let nbits = part.block.nbits().unwrap_or(0);
+        if let Some(q) = scan.query_sketches.iter().find(|q| q.len() != nbits) {
+            return Err(CoreError::SketchLengthMismatch {
+                left: q.len(),
+                right: nbits,
+            });
+        }
+    }
+    let rows: usize = parts.iter().map(|p| p.block.rows()).sum();
+    // Rows are numbered across parts; each shard streams one contiguous
+    // range, starting from a copy of the scan (which has seen no rows).
+    let shard_scans = crate::parallel::map_shards(threads, rows, |_, range| {
+        let mut shard = scan.clone();
+        let mut base = 0;
+        for part in parts {
+            let n = part.block.rows();
+            let (lo, hi) = (range.start.max(base), range.end.min(base + n));
+            if lo < hi {
+                shard.scan_rows(part, lo - base..hi - base);
+            }
+            base += n;
+        }
+        shard
+    });
+    let sharded = shard_scans.len() > 1;
+    let mut shards = Vec::new();
+    for shard in shard_scans {
+        if sharded {
+            shards.push(shard.stats);
+        }
+        scan.merge(shard);
+    }
+    scan.stats = FilterStats {
+        objects_scanned: parts.iter().map(BlockPart::live_objects).sum(),
+        segments_scanned: parts.iter().map(BlockPart::live_rows).sum(),
+        candidates: 0,
+    };
     let (candidates, stats) = scan.finish();
-    Ok((candidates, stats, shard_stats))
+    Ok((candidates, stats, shards))
 }
 
 #[cfg(test)]
@@ -548,6 +834,142 @@ mod tests {
         assert_eq!(a, b);
         // Lowest ids win ties.
         assert_eq!(a, HashSet::from([ObjectId(0), ObjectId(1), ObjectId(2)]));
+    }
+
+    fn block_of(objects: &[(ObjectId, &SketchedObject)]) -> SketchBlock {
+        let mut block = SketchBlock::default();
+        for (id, so) in objects {
+            block.push(*id, &so.sketches).unwrap();
+        }
+        block
+    }
+
+    #[test]
+    fn block_scan_rejects_query_of_another_width() {
+        let stored = sketched(&[&s4(true, false, true, false)], &[1.0]);
+        let block = block_of(&[(ObjectId(1), &stored)]);
+        let wide = SketchedObject {
+            weights: vec![1.0],
+            sketches: vec![BitVec::zeros(128)],
+        };
+        let err = filter_blocks(
+            &wide,
+            &[BlockPart::live(&block)],
+            &FilterParams::default(),
+            1,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::SketchLengthMismatch {
+                left: 128,
+                right: 4
+            }
+        );
+        // Pushing a row of another width is refused too, leaving the
+        // block unchanged.
+        let mut block = block;
+        assert!(block.push(ObjectId(2), &wide.sketches).is_err());
+        assert_eq!((block.objects(), block.rows()), (1, 1));
+    }
+
+    #[test]
+    fn empty_block_answers_with_no_candidates() {
+        let query = sketched(&[&s4(true, false, true, false)], &[1.0]);
+        let empty = SketchBlock::default();
+        assert_eq!(empty.nbits(), None);
+        for threads in [1, 3] {
+            let (cands, stats, _) = filter_blocks(
+                &query,
+                &[BlockPart::live(&empty)],
+                &FilterParams::default(),
+                threads,
+            )
+            .unwrap();
+            assert!(cands.is_empty());
+            assert_eq!(stats, FilterStats::default());
+        }
+    }
+
+    #[test]
+    fn block_scan_matches_reference_across_shards_and_dead_rows() {
+        // Multi-segment objects with tied distances, split over two parts;
+        // the first part holds two dead objects.
+        let objects: Vec<SketchedObject> = (0..30)
+            .map(|i| {
+                let segs: Vec<Vec<bool>> = (0..1 + i % 4)
+                    .map(|j| s4(i % 2 == 0, j % 2 == 0, i % 3 == 0, (i + j) % 5 == 0))
+                    .collect();
+                let refs: Vec<&[bool]> = segs.iter().map(Vec::as_slice).collect();
+                let weights = vec![1.0 / refs.len() as f32; refs.len()];
+                sketched(&refs, &weights)
+            })
+            .collect();
+        let all: Vec<(ObjectId, &SketchedObject)> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, so)| (ObjectId(i as u64), so))
+            .collect();
+        let first = block_of(&all[..17]);
+        let second = block_of(&all[17..]);
+        let dead = HashSet::from([ObjectId(3), ObjectId(8)]);
+        let dead_rows = dead
+            .iter()
+            .map(|id| objects[id.0 as usize].num_segments())
+            .sum();
+        let parts = [
+            BlockPart {
+                block: &first,
+                dead: Some(&dead),
+                dead_rows,
+            },
+            BlockPart::live(&second),
+        ];
+        let live: Vec<(ObjectId, &SketchedObject)> = all
+            .iter()
+            .copied()
+            .filter(|(id, _)| !dead.contains(id))
+            .collect();
+        let query = sketched(
+            &[&s4(true, true, false, false), &s4(false, true, true, false)],
+            &[0.6, 0.4],
+        );
+        for (cand, threshold) in [(1, None), (3, None), (5, Some(2)), (40, Some(3))] {
+            let p = FilterParams {
+                query_segments: 2,
+                candidates_per_segment: cand,
+                base_threshold: threshold,
+                weight_attenuation: 0.0,
+            };
+            let reference = filter_candidates(&query, live.iter().copied(), &p).unwrap();
+            for threads in 1..=7 {
+                let (cands, stats, shards) = filter_blocks(&query, &parts, &p, threads).unwrap();
+                assert_eq!((cands, stats), reference, "cand {cand} threads {threads}");
+                if threads > 1 {
+                    // Shards count every row streamed, dead ones included.
+                    let rows: usize = shards.iter().map(|s| s.segments_scanned).sum();
+                    let objs: usize = shards.iter().map(|s| s.objects_scanned).sum();
+                    assert_eq!((objs, rows), (30, first.rows() + second.rows()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_remove_keeps_slot_order_and_offsets() {
+        let a = sketched(&[&s4(true, false, false, false)], &[1.0]);
+        let b = sketched(
+            &[
+                &s4(false, true, false, false),
+                &s4(false, false, true, false),
+            ],
+            &[0.5, 0.5],
+        );
+        let c = sketched(&[&s4(false, false, false, true)], &[1.0]);
+        let mut block = block_of(&[(ObjectId(1), &a), (ObjectId(2), &b), (ObjectId(3), &c)]);
+        block.remove(1);
+        assert_eq!(block, block_of(&[(ObjectId(1), &a), (ObjectId(3), &c)]));
+        assert_eq!(block.slot_rows(1), 1..2);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Storage layouts for the engine's records: the monolithic object map and
 //! the LSM-style segmented layout, behind one [`IndexStorage`] seam.
 //!
-//! Both layouts store records only (sketches plus optional originals);
-//! the filter stage scans whatever [`IndexStorage::live_refs`] returns.
+//! Both layouts store records only (sketches plus optional originals) in
+//! slot-indexed parts, and every part keeps its segment sketches in one
+//! contiguous [`SketchBlock`](crate::filter::SketchBlock); the filter stage
+//! streams the blocks [`IndexStorage::block_parts`] returns.
 //!
-//! * [`MonolithicStorage`] — one insertion-ordered map; removals take
+//! * [`MonolithicStorage`] — one insertion-ordered part; removals take
 //!   effect in place.
 //! * [`SegmentedStorage`] — an LSM-style layout: a small mutable
 //!   **memtable** absorbs inserts; when it reaches the configured size it
@@ -20,12 +22,14 @@
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
+use crate::filter::BlockPart;
 use crate::object::{DataObject, ObjectId};
 use crate::sketch::SketchedObject;
-use crate::telemetry::MetricsRegistry;
+use crate::telemetry::{Gauge, MetricsRegistry};
 use ferret_store::SegmentStore;
 
 mod monolithic;
+mod records;
 mod segmented;
 
 pub use monolithic::MonolithicStorage;
@@ -69,6 +73,10 @@ impl std::str::FromStr for IndexLayout {
         }
     }
 }
+
+/// One record to insert: id, sketched form, and the original object
+/// (`None` for sketch-only engines).
+pub type Record = (ObjectId, SketchedObject, Option<DataObject>);
 
 /// Point-in-time shape of an [`IndexStorage`], for `stat` reporting and
 /// the segment gauges.
@@ -118,13 +126,14 @@ pub trait IndexStorage: Send + Sync {
     /// Every live record in insertion order.
     fn live_refs(&self) -> Vec<(ObjectId, &SketchedObject, Option<&DataObject>)>;
 
-    /// Inserts a new object. `original` is `None` for sketch-only engines.
-    fn insert(
-        &mut self,
-        id: ObjectId,
-        sketched: SketchedObject,
-        original: Option<DataObject>,
-    ) -> Result<()>;
+    /// The sketch block of every part, with the removed objects each one
+    /// still holds, for the filter stage. O(parts): nothing is walked.
+    fn block_parts(&self) -> Vec<BlockPart<'_>>;
+
+    /// Inserts new objects in batch order. The monolithic layout reserves
+    /// room for the whole batch up front. An id already live fails with
+    /// [`CoreError::DuplicateObject`]; records before it stay inserted.
+    fn insert_batch(&mut self, batch: Vec<Record>) -> Result<()>;
 
     /// Removes `id` from the visible set; returns `true` if it was live.
     ///
@@ -167,6 +176,17 @@ pub trait IndexStorage: Send + Sync {
 
     /// The attached segment store, if any.
     fn persistence_handle(&self) -> Option<&SegmentStore>;
+}
+
+/// The eagerly registered gauge of bytes the storage's sketch blocks have
+/// allocated. Storage sets it from block capacities it tracks, never by
+/// walking records.
+pub(crate) fn block_bytes_gauge(registry: &MetricsRegistry) -> Arc<Gauge> {
+    registry.gauge(
+        "ferret_sketch_block_bytes",
+        "Bytes allocated by the filter's contiguous sketch blocks.",
+        &[],
+    )
 }
 
 /// Converts a store-layer failure into the engine's error type.

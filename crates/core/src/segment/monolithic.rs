@@ -1,30 +1,31 @@
-//! The original storage layout: one insertion-ordered object map.
+//! The original storage layout: one insertion-ordered record set.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
+use crate::filter::BlockPart;
 use crate::object::{DataObject, ObjectId};
 use crate::sketch::SketchedObject;
-use crate::telemetry::MetricsRegistry;
+use crate::telemetry::{Gauge, MetricsRegistry};
 use ferret_store::SegmentStore;
 
-use super::{IndexLayout, IndexStorage, StorageStats};
+use super::records::Records;
+use super::{block_bytes_gauge, IndexLayout, IndexStorage, Record, StorageStats};
 
-/// One mutable object map. Removals take effect immediately, so there is
+/// One mutable record set with a single sketch block. Removals take
+/// effect immediately (shifting later records down), so there is
 /// nothing to seal or compact.
 #[derive(Default)]
 pub struct MonolithicStorage {
-    order: Vec<ObjectId>,
-    objects: HashMap<ObjectId, DataObject>,
-    sketches: HashMap<ObjectId, SketchedObject>,
+    records: Records,
     epoch: u64,
+    block_bytes: Option<Arc<Gauge>>,
 }
 
 impl std::fmt::Debug for MonolithicStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MonolithicStorage")
-            .field("live", &self.order.len())
+            .field("live", &self.records.len())
             .field("epoch", &self.epoch)
             .finish_non_exhaustive()
     }
@@ -35,6 +36,12 @@ impl MonolithicStorage {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn publish_gauges(&self) {
+        if let Some(gauge) = &self.block_bytes {
+            gauge.set(self.records.block().capacity_bytes() as i64);
+        }
+    }
 }
 
 impl IndexStorage for MonolithicStorage {
@@ -43,59 +50,54 @@ impl IndexStorage for MonolithicStorage {
     }
 
     fn len(&self) -> usize {
-        self.order.len()
+        self.records.len()
     }
 
     fn contains(&self, id: ObjectId) -> bool {
-        self.sketches.contains_key(&id)
+        self.records.contains(id)
     }
 
     fn object(&self, id: ObjectId) -> Option<&DataObject> {
-        self.objects.get(&id)
+        self.records.object(id)
     }
 
     fn sketch(&self, id: ObjectId) -> Option<&SketchedObject> {
-        self.sketches.get(&id)
+        self.records.sketch(id)
     }
 
     fn live_ids(&self) -> Vec<ObjectId> {
-        self.order.clone()
+        self.records.ids().to_vec()
     }
 
     fn live_refs(&self) -> Vec<(ObjectId, &SketchedObject, Option<&DataObject>)> {
-        self.order
-            .iter()
-            .filter_map(|id| {
-                self.sketches
-                    .get(id)
-                    .map(|so| (*id, so, self.objects.get(id)))
-            })
-            .collect()
+        self.records.iter().collect()
     }
 
-    fn insert(
-        &mut self,
-        id: ObjectId,
-        sketched: SketchedObject,
-        original: Option<DataObject>,
-    ) -> Result<()> {
-        if self.sketches.contains_key(&id) {
-            return Err(CoreError::DuplicateObject(id.0));
+    fn block_parts(&self) -> Vec<BlockPart<'_>> {
+        vec![BlockPart::live(self.records.block())]
+    }
+
+    fn insert_batch(&mut self, batch: Vec<Record>) -> Result<()> {
+        let rows = batch.iter().map(|(_, so, _)| so.num_segments()).sum();
+        let nbits = batch
+            .iter()
+            .find_map(|(_, so, _)| so.sketches.first())
+            .map_or(0, |s| s.len());
+        self.records.reserve(batch.len(), rows, nbits);
+        self.publish_gauges();
+        for (id, sketched, original) in batch {
+            if self.records.contains(id) {
+                return Err(CoreError::DuplicateObject(id.0));
+            }
+            self.records.push(id, sketched, original)?;
+            self.epoch += 1;
         }
-        self.sketches.insert(id, sketched);
-        if let Some(object) = original {
-            self.objects.insert(id, object);
-        }
-        self.order.push(id);
-        self.epoch += 1;
         Ok(())
     }
 
     fn tombstone(&mut self, id: ObjectId) -> Result<bool> {
-        let present = self.sketches.remove(&id).is_some();
-        self.objects.remove(&id);
+        let present = self.records.remove(id);
         if present {
-            self.order.retain(|&x| x != id);
             self.epoch += 1;
         }
         Ok(present)
@@ -115,7 +117,7 @@ impl IndexStorage for MonolithicStorage {
 
     fn stats(&self) -> StorageStats {
         StorageStats {
-            live_objects: self.order.len(),
+            live_objects: self.records.len(),
             memtable_objects: 0,
             sealed_segments: 0,
             tombstones: 0,
@@ -126,7 +128,10 @@ impl IndexStorage for MonolithicStorage {
         self.epoch
     }
 
-    fn set_telemetry(&mut self, _registry: Option<Arc<MetricsRegistry>>) {}
+    fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
+        self.block_bytes = registry.as_deref().map(block_bytes_gauge);
+        self.publish_gauges();
+    }
 
     fn attach_persistence(&mut self, _store: SegmentStore) -> Result<()> {
         Ok(())
@@ -155,7 +160,9 @@ mod tests {
         let builder = SketchBuilder::new(params, 7);
         let mut storage = MonolithicStorage::new();
         let (obj, so) = sketched(&builder, &[0.1, 0.2]);
-        storage.insert(ObjectId(1), so, Some(obj)).unwrap();
+        storage
+            .insert_batch(vec![(ObjectId(1), so, Some(obj))])
+            .unwrap();
         assert!(storage.contains(ObjectId(1)));
         assert_eq!(storage.len(), 1);
         assert_eq!(storage.live_ids(), vec![ObjectId(1)]);

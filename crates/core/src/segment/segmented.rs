@@ -14,46 +14,72 @@
 //! outcomes are discarded — the inputs are immutable, so a discarded
 //! merge wastes work but can never corrupt state.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::error::CoreError;
 use crate::error::Result;
+use crate::filter::BlockPart;
 use crate::object::{DataObject, ObjectId};
 use crate::sketch::SketchedObject;
-use crate::telemetry::{MetricsRegistry, Unit, LATENCY_BUCKETS_NS};
+use crate::telemetry::{Gauge, MetricsRegistry, Unit, LATENCY_BUCKETS_NS};
 use ferret_store::{SegmentRecord, SegmentStore};
 
-use super::{store_err, IndexLayout, IndexStorage, StorageStats};
+use super::records::Records;
+use super::{block_bytes_gauge, store_err, IndexLayout, IndexStorage, Record, StorageStats};
 
 const COMPACTIONS_HELP: &str = "Segment compaction merges completed.";
 const COMPACTION_SECONDS_HELP: &str = "Latency of segment compaction merges.";
 const SEGMENTS_HELP: &str = "Immutable sealed segments in the engine.";
 const MEMTABLE_HELP: &str = "Objects in the mutable memtable awaiting seal.";
 
-/// An immutable sealed segment: a slice of the corpus in insertion order.
+/// An immutable sealed segment: a slice of the corpus in insertion order,
+/// with its frozen sketch block.
 struct Segment {
     /// Storage-local segment id (also used to match compaction outcomes
     /// back to their input run).
     id: u64,
-    /// Record ids in insertion order.
-    ids: Vec<ObjectId>,
-    sketches: HashMap<ObjectId, SketchedObject>,
-    objects: HashMap<ObjectId, DataObject>,
+    records: Records,
 }
 
 impl Segment {
     fn live_count(&self, dead: &HashSet<ObjectId>) -> usize {
-        self.ids.len() - dead.len()
+        self.records.len() - dead.len()
     }
 }
 
 /// A sealed segment plus its mutable side-state: removals recorded since
-/// sealing, and the durable file id once checkpointed.
+/// sealing (and the block rows they own), and the durable file id once
+/// checkpointed.
 struct SegmentSlot {
     segment: Arc<Segment>,
     dead: HashSet<ObjectId>,
+    dead_rows: usize,
     persist_id: Option<u64>,
+}
+
+impl SegmentSlot {
+    fn new(segment: Segment, dead: HashSet<ObjectId>) -> Self {
+        let dead_rows = dead.iter().map(|&id| segment.records.rows_of(id)).sum();
+        Self {
+            segment: Arc::new(segment),
+            dead,
+            dead_rows,
+            persist_id: None,
+        }
+    }
+
+    fn block_part(&self) -> BlockPart<'_> {
+        BlockPart {
+            block: self.segment.records.block(),
+            dead: (!self.dead.is_empty()).then_some(&self.dead),
+            dead_rows: self.dead_rows,
+        }
+    }
+
+    fn block_bytes(&self) -> usize {
+        self.segment.records.block().capacity_bytes()
+    }
 }
 
 /// Work order for the compaction worker.
@@ -70,12 +96,13 @@ enum Job {
     Shutdown,
 }
 
-/// Result posted back by the worker; applied by the next writer.
+/// Result posted back by the worker; applied by the next writer. A
+/// failed merge leaves its inputs in place.
 struct MergeOutcome {
     generation: u64,
     input_ids: Vec<u64>,
     dead_claimed: Vec<HashSet<ObjectId>>,
-    merged: Segment,
+    merged: Result<Segment>,
 }
 
 #[derive(Default)]
@@ -128,7 +155,7 @@ fn worker_loop(shared: Arc<CompactorShared>) {
         let start = std::time::Instant::now();
         let input_ids = job.inputs.iter().map(|s| s.id).collect();
         let merged = merge_segments(job.out_id, &job.inputs, &job.dead_claimed);
-        if let Some(registry) = &job.telemetry {
+        if let (Some(registry), Ok(_)) = (&job.telemetry, &merged) {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
                 "ferret_compaction_seconds",
@@ -147,39 +174,37 @@ fn worker_loop(shared: Arc<CompactorShared>) {
 }
 
 /// Merges a contiguous run of segments into one, dropping records that
-/// were dead at snapshot time. Record order is preserved (inputs are in
-/// segment order, records in insertion order), so the merged segment
-/// occupies exactly its inputs' place in the global insertion order.
+/// were dead at snapshot time, and builds the merged sketch block from
+/// the live rows. Record order is preserved (inputs are in segment order,
+/// records in insertion order), so the merged segment occupies exactly
+/// its inputs' place in the global insertion order.
 fn merge_segments(
     out_id: u64,
     inputs: &[Arc<Segment>],
     dead_claimed: &[HashSet<ObjectId>],
-) -> Segment {
-    let mut ids = Vec::new();
-    let mut sketches = HashMap::new();
-    let mut objects = HashMap::new();
-    for (i, seg) in inputs.iter().enumerate() {
-        let dead = dead_claimed.get(i);
-        for id in &seg.ids {
-            if dead.is_some_and(|d| d.contains(id)) {
-                continue;
-            }
-            let Some(so) = seg.sketches.get(id) else {
-                continue;
-            };
-            ids.push(*id);
-            sketches.insert(*id, so.clone());
-            if let Some(obj) = seg.objects.get(id) {
-                objects.insert(*id, obj.clone());
-            }
-        }
+) -> Result<Segment> {
+    let live = || {
+        inputs.iter().enumerate().flat_map(|(i, seg)| {
+            let dead = dead_claimed.get(i);
+            seg.records
+                .iter()
+                .filter(move |(id, _, _)| !dead.is_some_and(|d| d.contains(id)))
+        })
+    };
+    let (objects, rows) = live().fold((0, 0), |(o, r), (_, so, _)| (o + 1, r + so.num_segments()));
+    let nbits = inputs
+        .iter()
+        .find_map(|seg| seg.records.block().nbits())
+        .unwrap_or(0);
+    let mut records = Records::default();
+    records.reserve(objects, rows, nbits);
+    for (id, so, obj) in live() {
+        records.push(id, so.clone(), obj.cloned())?;
     }
-    Segment {
+    Ok(Segment {
         id: out_id,
-        ids,
-        sketches,
-        objects,
-    }
+        records,
+    })
 }
 
 /// LSM-style [`IndexStorage`]: inserts land in a small mutable memtable,
@@ -188,10 +213,11 @@ fn merge_segments(
 pub struct SegmentedStorage {
     memtable_size: usize,
     compaction: bool,
-    mem_order: Vec<ObjectId>,
-    mem_sketches: HashMap<ObjectId, SketchedObject>,
-    mem_objects: HashMap<ObjectId, DataObject>,
+    memtable: Records,
     slots: Vec<SegmentSlot>,
+    /// Block bytes of all sealed segments, kept up to date on seal and
+    /// splice so the block gauge never walks the slots.
+    sealed_block_bytes: usize,
     next_segment_id: u64,
     epoch: u64,
     /// Bumped whenever the slot list is invalidated wholesale (inline
@@ -202,13 +228,14 @@ pub struct SegmentedStorage {
     compactor: Option<CompactorHandle>,
     persist: Option<SegmentStore>,
     telemetry: Option<Arc<MetricsRegistry>>,
+    block_bytes: Option<Arc<Gauge>>,
 }
 
 impl std::fmt::Debug for SegmentedStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentedStorage")
             .field("live", &self.len())
-            .field("memtable", &self.mem_order.len())
+            .field("memtable", &self.memtable.len())
             .field("segments", &self.slots.len())
             .field("epoch", &self.epoch)
             .finish_non_exhaustive()
@@ -224,10 +251,9 @@ impl SegmentedStorage {
         Self {
             memtable_size: memtable_size.max(1),
             compaction,
-            mem_order: Vec::new(),
-            mem_sketches: HashMap::new(),
-            mem_objects: HashMap::new(),
+            memtable: Records::default(),
             slots: Vec::new(),
+            sealed_block_bytes: 0,
             next_segment_id: 0,
             epoch: 0,
             generation: 0,
@@ -235,6 +261,7 @@ impl SegmentedStorage {
             compactor: None,
             persist: None,
             telemetry: None,
+            block_bytes: None,
         }
     }
 
@@ -242,7 +269,7 @@ impl SegmentedStorage {
     fn live_slot(&self, id: ObjectId) -> Option<usize> {
         self.slots
             .iter()
-            .position(|s| s.segment.sketches.contains_key(&id) && !s.dead.contains(&id))
+            .position(|s| s.segment.records.contains(id) && !s.dead.contains(&id))
     }
 
     fn publish_gauges(&self) {
@@ -252,7 +279,11 @@ impl SegmentedStorage {
                 .set(self.slots.len() as i64);
             registry
                 .gauge("ferret_memtable_objects", MEMTABLE_HELP, &[])
-                .set(self.mem_order.len() as i64);
+                .set(self.memtable.len() as i64);
+        }
+        if let Some(gauge) = &self.block_bytes {
+            let bytes = self.sealed_block_bytes + self.memtable.block().capacity_bytes();
+            gauge.set(bytes as i64);
         }
     }
 
@@ -272,13 +303,16 @@ impl SegmentedStorage {
             if outcome.generation != self.generation {
                 continue;
             }
+            let Ok(merged) = outcome.merged else {
+                continue;
+            };
             let Some(start) = self.find_run(&outcome.input_ids) else {
                 continue;
             };
             self.splice_run(
                 start,
                 outcome.input_ids.len(),
-                outcome.merged,
+                merged,
                 &outcome.dead_claimed,
             )?;
         }
@@ -319,36 +353,30 @@ impl SegmentedStorage {
                     .copied(),
             );
         }
-        let slot = SegmentSlot {
-            segment: Arc::new(merged),
-            dead,
-            persist_id: None,
-        };
-        self.slots.splice(start..start + len, [slot]);
+        let slot = SegmentSlot::new(merged, dead);
+        self.sealed_block_bytes += slot.block_bytes();
+        for old in self.slots.splice(start..start + len, [slot]) {
+            self.sealed_block_bytes -= old.block_bytes();
+        }
         self.epoch += 1;
         self.persist_checkpoint()?;
         self.publish_gauges();
         Ok(())
     }
 
-    /// Freezes the memtable into a new sealed segment.
+    /// Freezes the memtable, sketch block included, into a new sealed
+    /// segment.
     fn seal_memtable(&mut self) -> Result<()> {
-        if self.mem_order.is_empty() {
+        if self.memtable.is_empty() {
             return Ok(());
         }
         let id = self.next_segment_id;
         self.next_segment_id += 1;
-        let segment = Segment {
-            id,
-            ids: std::mem::take(&mut self.mem_order),
-            sketches: std::mem::take(&mut self.mem_sketches),
-            objects: std::mem::take(&mut self.mem_objects),
-        };
-        self.slots.push(SegmentSlot {
-            segment: Arc::new(segment),
-            dead: HashSet::new(),
-            persist_id: None,
-        });
+        let mut records = std::mem::take(&mut self.memtable);
+        records.shrink_to_fit();
+        let slot = SegmentSlot::new(Segment { id, records }, HashSet::new());
+        self.sealed_block_bytes += slot.block_bytes();
+        self.slots.push(slot);
         self.epoch += 1;
         self.persist_checkpoint()?;
         self.publish_gauges();
@@ -361,7 +389,7 @@ impl SegmentedStorage {
     fn plan_merge(&self) -> Option<(usize, usize)> {
         let small_limit = self.memtable_size.saturating_mul(4).max(8);
         let removal_heavy =
-            |slot: &SegmentSlot| slot.dead.len() * 2 >= slot.segment.ids.len().max(1);
+            |slot: &SegmentSlot| slot.dead.len() * 2 >= slot.segment.records.len().max(1);
         let candidate = |slot: &SegmentSlot| {
             removal_heavy(slot) || slot.segment.live_count(&slot.dead) < small_limit
         };
@@ -476,15 +504,15 @@ impl SegmentedStorage {
             if slot.persist_id.is_some() {
                 continue;
             }
-            let mut records = Vec::with_capacity(slot.segment.ids.len());
-            for id in &slot.segment.ids {
-                if let Some(so) = slot.segment.sketches.get(id) {
-                    records.push(SegmentRecord {
-                        id: id.0,
-                        payload: crate::codec::encode_sketched(so),
-                    });
-                }
-            }
+            let records: Vec<SegmentRecord> = slot
+                .segment
+                .records
+                .iter()
+                .map(|(id, so, _)| SegmentRecord {
+                    id: id.0,
+                    payload: crate::codec::encode_sketched(so),
+                })
+                .collect();
             slot.persist_id = Some(store.write_segment(&records).map_err(store_err)?);
         }
         let live: Vec<u64> = self.slots.iter().filter_map(|s| s.persist_id).collect();
@@ -502,7 +530,7 @@ impl SegmentedStorage {
         let out_id = self.next_segment_id;
         self.next_segment_id += 1;
         let begin = std::time::Instant::now();
-        let merged = merge_segments(out_id, &inputs, &dead_claimed);
+        let merged = merge_segments(out_id, &inputs, &dead_claimed)?;
         if let Some(registry) = &self.telemetry {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
@@ -528,80 +556,66 @@ impl IndexStorage for SegmentedStorage {
             .iter()
             .map(|s| s.segment.live_count(&s.dead))
             .sum();
-        sealed + self.mem_order.len()
+        sealed + self.memtable.len()
     }
 
     fn contains(&self, id: ObjectId) -> bool {
-        self.mem_sketches.contains_key(&id) || self.live_slot(id).is_some()
+        self.memtable.contains(id) || self.live_slot(id).is_some()
     }
 
     fn object(&self, id: ObjectId) -> Option<&DataObject> {
-        if let Some(obj) = self.mem_objects.get(&id) {
-            return Some(obj);
-        }
-        if self.mem_sketches.contains_key(&id) {
-            return None;
+        if self.memtable.contains(id) {
+            return self.memtable.object(id);
         }
         self.live_slot(id)
-            .and_then(|i| self.slots[i].segment.objects.get(&id))
+            .and_then(|i| self.slots[i].segment.records.object(id))
     }
 
     fn sketch(&self, id: ObjectId) -> Option<&SketchedObject> {
-        if let Some(so) = self.mem_sketches.get(&id) {
+        if let Some(so) = self.memtable.sketch(id) {
             return Some(so);
         }
         self.live_slot(id)
-            .and_then(|i| self.slots[i].segment.sketches.get(&id))
+            .and_then(|i| self.slots[i].segment.records.sketch(id))
     }
 
     fn live_ids(&self) -> Vec<ObjectId> {
-        let mut out = Vec::with_capacity(self.len());
-        for slot in &self.slots {
-            out.extend(slot.segment.ids.iter().filter(|id| !slot.dead.contains(id)));
-        }
-        out.extend(self.mem_order.iter().copied());
-        out
+        self.live_refs().into_iter().map(|(id, _, _)| id).collect()
     }
 
     fn live_refs(&self) -> Vec<(ObjectId, &SketchedObject, Option<&DataObject>)> {
         let mut out = Vec::with_capacity(self.len());
         for slot in &self.slots {
-            for id in &slot.segment.ids {
-                if slot.dead.contains(id) {
-                    continue;
-                }
-                if let Some(so) = slot.segment.sketches.get(id) {
-                    out.push((*id, so, slot.segment.objects.get(id)));
-                }
-            }
+            out.extend(
+                slot.segment
+                    .records
+                    .iter()
+                    .filter(|(id, _, _)| !slot.dead.contains(id)),
+            );
         }
-        for id in &self.mem_order {
-            if let Some(so) = self.mem_sketches.get(id) {
-                out.push((*id, so, self.mem_objects.get(id)));
-            }
-        }
+        out.extend(self.memtable.iter());
         out
     }
 
-    fn insert(
-        &mut self,
-        id: ObjectId,
-        sketched: SketchedObject,
-        original: Option<DataObject>,
-    ) -> Result<()> {
+    fn block_parts(&self) -> Vec<BlockPart<'_>> {
+        let mut parts: Vec<BlockPart<'_>> =
+            self.slots.iter().map(SegmentSlot::block_part).collect();
+        parts.push(BlockPart::live(self.memtable.block()));
+        parts
+    }
+
+    fn insert_batch(&mut self, batch: Vec<Record>) -> Result<()> {
         self.apply_pending()?;
-        if self.contains(id) {
-            return Err(CoreError::DuplicateObject(id.0));
-        }
-        self.mem_sketches.insert(id, sketched);
-        if let Some(object) = original {
-            self.mem_objects.insert(id, object);
-        }
-        self.mem_order.push(id);
-        self.epoch += 1;
-        if self.mem_order.len() >= self.memtable_size {
-            self.seal_memtable()?;
-            self.schedule_compaction();
+        for (id, sketched, original) in batch {
+            if self.contains(id) {
+                return Err(CoreError::DuplicateObject(id.0));
+            }
+            self.memtable.push(id, sketched, original)?;
+            self.epoch += 1;
+            if self.memtable.len() >= self.memtable_size {
+                self.seal_memtable()?;
+                self.schedule_compaction();
+            }
         }
         self.publish_gauges();
         Ok(())
@@ -609,15 +623,15 @@ impl IndexStorage for SegmentedStorage {
 
     fn tombstone(&mut self, id: ObjectId) -> Result<bool> {
         self.apply_pending()?;
-        if self.mem_sketches.remove(&id).is_some() {
-            self.mem_objects.remove(&id);
-            self.mem_order.retain(|&x| x != id);
+        if self.memtable.remove(id) {
             self.epoch += 1;
             self.publish_gauges();
             return Ok(true);
         }
         if let Some(i) = self.live_slot(id) {
-            self.slots[i].dead.insert(id);
+            let slot = &mut self.slots[i];
+            slot.dead.insert(id);
+            slot.dead_rows += slot.segment.records.rows_of(id);
             self.epoch += 1;
             self.schedule_compaction();
             self.publish_gauges();
@@ -651,7 +665,7 @@ impl IndexStorage for SegmentedStorage {
     fn stats(&self) -> StorageStats {
         StorageStats {
             live_objects: self.len(),
-            memtable_objects: self.mem_order.len(),
+            memtable_objects: self.memtable.len(),
             sealed_segments: self.slots.len(),
             tombstones: self.slots.iter().map(|s| s.dead.len()).sum(),
         }
@@ -662,6 +676,7 @@ impl IndexStorage for SegmentedStorage {
     }
 
     fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
+        self.block_bytes = registry.as_deref().map(block_bytes_gauge);
         self.telemetry = registry;
         // Register the compaction series eagerly so `/metrics` shows them
         // (at zero) before the first background merge completes.
@@ -708,7 +723,9 @@ mod tests {
     fn fill(storage: &mut SegmentedStorage, builder: &SketchBuilder, ids: std::ops::Range<u64>) {
         for i in ids {
             let (obj, so) = sketched(builder, &[(i % 10) as f32 / 10.0, 0.5]);
-            storage.insert(ObjectId(i), so, Some(obj)).unwrap();
+            storage
+                .insert_batch(vec![(ObjectId(i), so, Some(obj))])
+                .unwrap();
         }
     }
 
@@ -739,7 +756,9 @@ mod tests {
         assert!(!storage.contains(ObjectId(1)));
         assert_eq!(storage.stats().tombstones, 1);
         let (obj, so) = sketched(&builder, &[0.9, 0.9]);
-        storage.insert(ObjectId(1), so, Some(obj)).unwrap();
+        storage
+            .insert_batch(vec![(ObjectId(1), so, Some(obj))])
+            .unwrap();
         assert!(storage.contains(ObjectId(1)));
         // Reinsertion lands at the end of the global order.
         let ids = storage.live_ids();

@@ -79,6 +79,7 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_query_stage_seconds", HL, "Per-stage query latency, by stage.";
     "ferret_rejected_total", C, "Queries rejected by admission control.";
     "ferret_segments", G, "Immutable sealed segments in the engine.";
+    "ferret_sketch_block_bytes", G, "Bytes allocated by the filter's contiguous sketch blocks.";
     "ferret_sketch_build_seconds", HL, "Sketch-construction latency per ingest batch.";
     "ferret_sketch_objects_per_sec", G, "Ingest sketch-construction throughput of the most recent batch.";
     "ferret_sketch_objects_total", C, "Objects sketched on the ingest path.";

@@ -14,39 +14,21 @@ cargo run -q -p ferret-lint -- --deny
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
 echo "==> cargo test --workspace --no-fail-fast (every crate, every test target)"
 # Fixed seed so the randomized corpora of every proptest are reproducible.
 PROPTEST_SEED=20260805 cargo test -q --workspace --no-fail-fast
 
-echo "==> integration: server, determinism, telemetry, concurrent serving"
-cargo test -q --test server_and_acquisition --test parallel_determinism --test telemetry \
-    --test concurrent_serving
-
-echo "==> sketch construction: estimator quality, golden fixtures, reference equivalence"
-# Fixed seed so the randomized parameter sets and corpora are reproducible.
-cargo test -q -p ferret-eval --test estimator_quality
-cargo test -q -p ferret-core --test golden_sketches
-PROPTEST_SEED=20260805 cargo test -q --test sketch_reference
-
-echo "==> hybrid queries: pushdown equivalence, result cache, golden fusion"
-# Fixed seed so the pushdown/cache equivalence corpora are reproducible.
-PROPTEST_SEED=20260805 cargo test -q --test hybrid_query --test result_cache
-cargo test -q -p ferret-query --test golden_fusion
-
-echo "==> fault suite: crash points, torn tails, service crash recovery"
-# Fixed seed so the randomized crash/recovery scripts are reproducible
-# across CI runs; bump it to explore a fresh corner of the fault space.
-PROPTEST_SEED=20260805 cargo test -q -p ferret-store
-PROPTEST_SEED=20260805 cargo test -q -p ferret-query \
-    --test service_crash_recovery --test store_fault_telemetry
-
-echo "==> segmented index: exactness vs monolithic, manifest-swap crash sweep"
-# Fixed seed so the randomized op interleavings are reproducible.
-PROPTEST_SEED=20260805 cargo test -q --test segmented_index
-PROPTEST_SEED=20260805 cargo test -q -p ferret-store --test segment_crash_points
+echo "==> concurrency suites, 5 repeats, --test-threads=4"
+# The suites that race threads against each other run five more times
+# with several test threads, so an ordering that only fails sometimes
+# gets more than one chance to show.
+for run in 1 2 3 4 5; do
+    echo "--> repeat $run/5"
+    PROPTEST_SEED=20260805 cargo test -q --test concurrent_serving --test result_cache \
+        -- --test-threads=4
+    cargo test -q -p ferret-query --test ordering_determinism -- --test-threads=4
+    cargo test -q -p ferret-query --lib server:: -- --test-threads=4
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # --all-targets lints tests, benches, and examples too, and clippy.toml's
@@ -148,8 +130,8 @@ for stage in sketch filter; do
     echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q "stage=\"$stage\"" \
         || { echo "/metrics missing the $stage stage timer:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
 done
-# The eagerly registered ingest series exist.
-for series in ferret_sketch_objects_total ferret_sketch_objects_per_sec; do
+# The eagerly registered ingest and sketch-block series exist.
+for series in ferret_sketch_objects_total ferret_sketch_objects_per_sec ferret_sketch_block_bytes; do
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 done
@@ -215,7 +197,7 @@ done
     || { echo "segmented serve never compacted:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 # The segment gauges are live on /metrics and /stat reports the layout's
 # structure alongside the object count.
-for series in ferret_segments ferret_memtable_objects; do
+for series in ferret_segments ferret_memtable_objects ferret_sketch_block_bytes; do
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 done

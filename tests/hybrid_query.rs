@@ -17,9 +17,10 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use ferret::core::engine::{EngineBuilder, EngineConfig, QueryMode, QueryOptions, SearchEngine};
+use ferret::core::filter::filter_candidates;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::sketch::SketchParams;
+use ferret::core::sketch::{SketchParams, SketchedObject};
 use ferret::core::vector::FeatureVector;
 
 const DIM: usize = 4;
@@ -42,7 +43,16 @@ fn object_strategy() -> impl Strategy<Value = DataObject> {
 }
 
 fn build_engine(parallelism: Parallelism, items: &[(ObjectId, DataObject)]) -> SearchEngine {
-    let params = SketchParams::with_options(96, 2, vec![0.0; DIM], vec![1.0; DIM], None).unwrap();
+    build_engine_with(parallelism, 96, items)
+}
+
+fn build_engine_with(
+    parallelism: Parallelism,
+    nbits: usize,
+    items: &[(ObjectId, DataObject)],
+) -> SearchEngine {
+    let params =
+        SketchParams::with_options(nbits, 2, vec![0.0; DIM], vec![1.0; DIM], None).unwrap();
     let config = EngineConfig::basic(params, SEED).with_parallelism(parallelism);
     let mut engine = EngineBuilder::from_config(config).build().unwrap();
     engine.insert_batch(items.to_vec()).unwrap();
@@ -119,43 +129,86 @@ proptest! {
     /// Pruned filtering path: the restricted query equals the same
     /// query against a fresh engine containing only the allowed
     /// objects — pushdown behaves as if the excluded objects never
-    /// existed, even with a tight candidate budget.
+    /// existed, even with a tight candidate budget. Both also match the
+    /// reference row scan over the allowed live objects (candidates and
+    /// scan statistics), across sketch widths, thresholds, `r`, and
+    /// removals followed by re-inserts.
     #[test]
     fn pushdown_matches_subset_engine_on_filtering_path(
         objects in prop::collection::vec(object_strategy(), 4..12),
         mask in prop::collection::vec(any::<bool>(), 12),
         par_idx in 0usize..2,
         k in 1usize..6,
+        nbits_idx in 0usize..4,
+        filter in (1usize..4, 1usize..5, any::<bool>(), 0u32..64),
+        removed in prop::collection::vec(any::<bool>(), 12),
     ) {
         let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
+        let nbits = [64usize, 96, 640, 832][nbits_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
             .enumerate()
             .map(|(i, o)| (ObjectId(i as u64), o.clone()))
             .collect();
+        // Objects removed and not re-inserted are gone from both engines.
+        let gone = |i: usize| removed[i] && i % 2 == 1;
         let subset: Vec<(ObjectId, DataObject)> = items
             .iter()
             .enumerate()
-            .filter(|(i, _)| mask[*i])
+            .filter(|(i, _)| mask[*i] && !gone(*i))
             .map(|(_, item)| item.clone())
             .collect();
-        let allowed: HashSet<ObjectId> = subset.iter().map(|(id, _)| *id).collect();
+        let allowed: HashSet<ObjectId> = items
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask[*i])
+            .map(|(_, (id, _))| *id)
+            .collect();
 
-        let full_engine = build_engine(parallelism, &items);
-        let subset_engine = build_engine(parallelism, &subset);
+        let mut full_engine = build_engine_with(parallelism, nbits, &items);
+        for (i, (id, obj)) in items.iter().enumerate() {
+            if removed[i] {
+                prop_assert!(full_engine.remove(*id).unwrap());
+                if !gone(i) {
+                    full_engine.insert(*id, obj.clone()).unwrap();
+                }
+            }
+        }
+        let subset_engine = build_engine_with(parallelism, nbits, &subset);
 
         let seed = &objects[0];
+        let params = ferret::core::filter::FilterParams {
+            query_segments: filter.0,
+            candidates_per_segment: filter.1,
+            base_threshold: filter.2.then_some(filter.3),
+            weight_attenuation: 0.5,
+        };
         let restricted = QueryOptions::default()
             .with_k(k)
+            .with_filter(params.clone())
             .with_restrict(allowed.clone());
-        let plain = QueryOptions::default().with_k(k);
-        let hybrid = results_of(&full_engine.query(seed, &restricted).unwrap());
-        let oracle = results_of(&subset_engine.query(seed, &plain).unwrap());
+        let plain = QueryOptions::default().with_k(k).with_filter(params.clone());
+        let hybrid_resp = full_engine.query(seed, &restricted).unwrap();
+        let oracle_resp = subset_engine.query(seed, &plain).unwrap();
         prop_assert_eq!(
-            hybrid, oracle,
+            results_of(&hybrid_resp), results_of(&oracle_resp),
             "par {:?}: restricted full engine != subset engine",
             parallelism
         );
+
+        let qs = full_engine.sketch_query(seed).unwrap();
+        let live: Vec<(ObjectId, &SketchedObject)> = full_engine
+            .ids()
+            .into_iter()
+            .filter(|id| allowed.contains(id))
+            .map(|id| (id, full_engine.sketched(id).unwrap()))
+            .collect();
+        let (reference, ref_stats) = filter_candidates(&qs, live, &params).unwrap();
+        for resp in [&hybrid_resp, &oracle_resp] {
+            prop_assert_eq!(resp.stats.objects_scanned, ref_stats.objects_scanned);
+            prop_assert_eq!(resp.stats.segments_scanned, ref_stats.segments_scanned);
+            prop_assert_eq!(resp.stats.distance_evals, reference.len());
+        }
     }
 }
 

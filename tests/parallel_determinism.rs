@@ -2,12 +2,18 @@
 //! layer: every query path must return bit-identical answers for every
 //! thread count (see DESIGN.md §4, "Threading model").
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
-use ferret::core::engine::{QueryMode, QueryOptions, SearchEngine};
+use ferret::core::distance::emd::Emd;
+use ferret::core::distance::lp::L1;
+use ferret::core::engine::{EngineBuilder, EngineConfig, QueryMode, QueryOptions, SearchEngine};
 use ferret::core::filter::{filter_candidates, filter_candidates_sharded, FilterParams};
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
+use ferret::core::rank::rank_candidates_parallel;
+use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::{SketchParams, SketchedObject};
 use ferret::core::vector::FeatureVector;
 
@@ -31,6 +37,25 @@ fn engine_with(objects: &[DataObject], seed: u64) -> SearchEngine {
     let params = SketchParams::new(64, vec![0.0; 3], vec![1.0; 3]).unwrap();
     let mut engine = SearchEngine::builder(params, seed).build().unwrap();
     engine.set_parallelism(Parallelism::Serial);
+    for (i, obj) in objects.iter().enumerate() {
+        engine.insert(ObjectId(i as u64), obj.clone()).unwrap();
+    }
+    engine
+}
+
+/// An engine with `nbits`-bit sketches over `objects`. The segmented
+/// layout gets a 3-object memtable and inline compaction only, so the
+/// objects span several sealed segments and removals leave dead rows.
+fn engine_for(nbits: usize, seed: u64, segmented: bool, objects: &[DataObject]) -> SearchEngine {
+    let params = SketchParams::new(nbits, vec![0.0; 3], vec![1.0; 3]).unwrap();
+    let mut config = EngineConfig::basic(params, seed).with_parallelism(Parallelism::Serial);
+    if segmented {
+        config = config
+            .with_index_layout(IndexLayout::Segmented)
+            .with_memtable_size(3)
+            .with_compaction(false);
+    }
+    let mut engine = EngineBuilder::from_config(config).build().unwrap();
     for (i, obj) in objects.iter().enumerate() {
         engine.insert(ObjectId(i as u64), obj.clone()).unwrap();
     }
@@ -129,34 +154,92 @@ proptest! {
         }
     }
 
-    /// The sharded in-memory filter scan yields the exact candidate set
-    /// and statistics of the serial scan.
+    /// The engine's block kernel answers exactly like the reference row
+    /// scan (`filter_candidates` over the live records), and the sharded
+    /// reference equals the serial one: candidates, ranked results and
+    /// scan statistics. Covers sketch widths of 1, 2, 10 and 13 words
+    /// (and widths that are not a multiple of 64), thresholds on and
+    /// off, `r` from 1 to 3, small `k` with distance ties (duplicated
+    /// objects), 1 to 5 threads over multi-segment objects that straddle
+    /// shard boundaries, both layouts, removals followed by re-inserts,
+    /// and restrict sets.
     #[test]
     fn sharded_filter_candidates_identical(
         objects in prop::collection::vec(object_strategy(3), 4..20),
         cand in 1usize..5,
         seed in 0u64..100,
+        nbits_idx in 0usize..6,
+        r in 1usize..4,
+        threshold in (any::<bool>(), 0u32..96),
+        removed in prop::collection::vec(any::<bool>(), 24),
+        restrict in (any::<bool>(), prop::collection::vec(any::<bool>(), 24)),
+        segmented in any::<bool>(),
     ) {
-        let engine = engine_with(&objects, seed);
-        let query = engine.sketched(ObjectId(0)).unwrap().clone();
+        let nbits = [64usize, 96, 128, 600, 640, 832][nbits_idx];
+        // Duplicates tie at every distance, so id tie-breaking matters.
+        let objects: Vec<DataObject> = objects.iter().chain(&objects[..2]).cloned().collect();
+        let mut engine = engine_for(nbits, seed, segmented, &objects);
+        // Remove some objects (tombstones in sealed segments), then
+        // re-insert every other removed one at the end of the order.
+        let gone: Vec<usize> = (0..objects.len()).filter(|&i| removed[i]).collect();
+        for &i in &gone {
+            prop_assert!(engine.remove(ObjectId(i as u64)).unwrap());
+        }
+        for &i in gone.iter().step_by(2) {
+            engine.insert(ObjectId(i as u64), objects[i].clone()).unwrap();
+        }
+        let allowed: Option<HashSet<ObjectId>> = restrict.0.then(|| {
+            (0..objects.len() as u64)
+                .filter(|&i| restrict.1[i as usize])
+                .map(ObjectId)
+                .collect()
+        });
         let params = FilterParams {
-            query_segments: 2,
+            query_segments: r,
             candidates_per_segment: cand,
-            ..FilterParams::default()
+            base_threshold: threshold.0.then_some(threshold.1),
+            weight_attenuation: 0.5,
         };
+        let k = 1 + (seed as usize % 4);
+        let query = &objects[0];
+
+        let qs = engine.sketch_query(query).unwrap();
         let dataset: Vec<(ObjectId, &SketchedObject)> = engine
             .ids()
-            .iter()
-            .map(|&id| (id, engine.sketched(id).unwrap()))
+            .into_iter()
+            .filter(|id| allowed.as_ref().is_none_or(|a| a.contains(id)))
+            .map(|id| (id, engine.sketched(id).unwrap()))
             .collect();
         let (serial_set, serial_stats) =
-            filter_candidates(&query, dataset.iter().map(|&(id, so)| (id, so)), &params)
-                .unwrap();
+            filter_candidates(&qs, dataset.iter().map(|&(id, so)| (id, so)), &params).unwrap();
         for threads in [2usize, 7] {
-            let (set, stats) =
-                filter_candidates_sharded(&query, &dataset, &params, threads).unwrap();
+            let (set, stats) = filter_candidates_sharded(&qs, &dataset, &params, threads).unwrap();
             prop_assert_eq!(&set, &serial_set, "threads {}", threads);
             prop_assert_eq!(stats, serial_stats, "threads {}", threads);
+        }
+        let mut cand_ids: Vec<ObjectId> = serial_set.iter().copied().collect();
+        cand_ids.sort();
+        let cands: Vec<(ObjectId, &DataObject)> = cand_ids
+            .iter()
+            .map(|&id| (id, engine.object(id).unwrap()))
+            .collect();
+        let expected = rank_candidates_parallel(query, &cands, &Emd::new(L1), k, 1).unwrap();
+
+        let mut opts = QueryOptions::default()
+            .with_mode(QueryMode::Filtering)
+            .with_k(k)
+            .with_filter(params);
+        if let Some(allowed) = &allowed {
+            opts = opts.with_restrict(allowed.clone());
+        }
+        for threads in 1..=5 {
+            engine.set_parallelism(Parallelism::Threads(threads));
+            let resp = engine.query(query, &opts).unwrap();
+            let ctx = format!("nbits {nbits} threads {threads} segmented {segmented}");
+            prop_assert_eq!(&resp.results, &expected, "{}", ctx);
+            prop_assert_eq!(resp.stats.objects_scanned, serial_stats.objects_scanned, "{}", ctx);
+            prop_assert_eq!(resp.stats.segments_scanned, serial_stats.segments_scanned, "{}", ctx);
+            prop_assert_eq!(resp.stats.distance_evals, serial_stats.candidates, "{}", ctx);
         }
     }
 }

@@ -98,9 +98,9 @@ fn apply(engine: &mut SearchEngine, op: &Op, seed: u64) {
     }
 }
 
-/// Asserts every observable of the pair matches: id set, lengths, and
-/// full ranked responses (ids *and* distances) in both brute-force and
-/// filtering modes.
+/// Asserts every observable of the pair matches: id set, lengths, full
+/// ranked responses (ids *and* distances) and scan statistics in both
+/// brute-force and filtering modes.
 fn assert_twins(mono: &SearchEngine, seg: &SearchEngine, ctx: &str) {
     assert_eq!(mono.len(), seg.len(), "len diverged {ctx}");
     let mut a = mono.ids();
@@ -118,6 +118,20 @@ fn assert_twins(mono: &SearchEngine, seg: &SearchEngine, ctx: &str) {
             ra.results, rb.results,
             "{name} results diverged {ctx} (stats mono={:?} seg={:?})",
             ra.stats, rb.stats
+        );
+        // Dead rows still in sealed segments are never counted.
+        assert_eq!(
+            (
+                ra.stats.objects_scanned,
+                ra.stats.segments_scanned,
+                ra.stats.distance_evals
+            ),
+            (
+                rb.stats.objects_scanned,
+                rb.stats.segments_scanned,
+                rb.stats.distance_evals
+            ),
+            "{name} stats diverged {ctx}"
         );
     }
 }
