@@ -5,7 +5,8 @@
 //! same workload: reader threads run filtering queries under the shared
 //! read lock while a writer thread keeps inserting (and removing)
 //! objects and calling `maintain()` the way the serve loop does. The
-//! monolithic layout removes in place; the segmented layout tombstones
+//! monolithic layout marks removed slots dead and compacts its one
+//! record set once half are; the segmented layout tombstones
 //! and lets background merges reclaim the space off-thread (applying one
 //! is an O(1) swap). Besides the criterion report, the run writes a
 //! machine-readable `BENCH_segmented.json` at the repository root with

@@ -1090,18 +1090,19 @@ impl SearchEngine {
         }
     }
 
-    /// Packs the live objects of `allowed` into a scratch sketch block, in
-    /// id order, for a restricted filter scan.
-    fn pack_allowed(&self, allowed: &HashSet<ObjectId>) -> Result<SketchBlock> {
-        let mut ids: Vec<ObjectId> = allowed.iter().copied().collect();
-        ids.sort_unstable();
+    /// Packs the live objects of `allowed` into a scratch sketch block,
+    /// in one pass over the storage's blocks, for a restricted filter
+    /// scan.
+    fn pack_allowed(&self, allowed: &HashSet<ObjectId>) -> SketchBlock {
         let mut block = SketchBlock::default();
-        for id in ids {
-            if let Some(so) = self.storage.sketch(id) {
-                block.push(id, &so.sketches)?;
+        for part in self.storage.block_parts() {
+            for (slot, id) in part.block.ids().iter().enumerate() {
+                if allowed.contains(id) && !part.is_dead(slot) {
+                    block.push_slot(part.block, slot);
+                }
             }
         }
-        Ok(block)
+        block
     }
 
     fn allowed(&self, id: ObjectId, options: &QueryOptions) -> bool {
@@ -1275,26 +1276,23 @@ impl SearchEngine {
         let packed;
         let parts = match &options.restrict {
             Some(allowed) => {
-                packed = self.pack_allowed(allowed)?;
+                packed = self.pack_allowed(allowed);
                 vec![BlockPart::live(&packed)]
             }
             None => self.storage.block_parts(),
         };
         let objects: usize = parts.iter().map(BlockPart::live_objects).sum();
         let filter_threads = self.config.parallelism.threads_for(objects);
-        let (candidates, fstats, shard_stats) =
+        let (candidates, fstats, shard_rows) =
             filter_blocks(&qs, &parts, &options.filter, filter_threads)?;
         if let (Some(t), Some(elapsed)) = (trace.as_mut(), clock.elapsed()) {
             t.filter = Some(StageTrace {
                 duration: elapsed,
                 threads: filter_threads,
             });
-            t.shards = shard_stats
+            t.shards = shard_rows
                 .iter()
-                .map(|s| ShardTrace {
-                    objects_scanned: s.objects_scanned,
-                    segments_scanned: s.segments_scanned,
-                })
+                .map(|&segments_scanned| ShardTrace { segments_scanned })
                 .collect();
             t.candidates = candidates.len();
         }
@@ -1524,7 +1522,7 @@ mod tests {
             let resp = e.query(&q, &QueryOptions::default()).unwrap();
             assert!(resp.results.is_empty(), "{layout}");
             assert_eq!(resp.stats.segments_scanned, 0);
-            // Emptied again after an insert: the block keeps its width.
+            // Emptied again after an insert.
             e.insert(ObjectId(1), q.clone()).unwrap();
             assert!(e.remove(ObjectId(1)).unwrap());
             let resp = e.query(&q, &QueryOptions::default()).unwrap();

@@ -209,18 +209,22 @@ impl SketchBlock {
         Ok(())
     }
 
-    /// Removes object slot `slot`, shifting later slots down by one so
-    /// the slot order stays the insertion order.
-    pub fn remove(&mut self, slot: usize) {
-        let rows = self.slot_rows(slot);
-        let stride = self.stride();
-        self.words.drain(rows.start * stride..rows.end * stride);
-        self.ends.remove(slot);
-        let n = rows.len() as u32;
-        for end in &mut self.ends[slot..] {
-            *end -= n;
-        }
-        self.ids.remove(slot);
+    /// Appends slot `slot` of `from`, a block of the same width, as a new
+    /// slot, copying its already validated rows.
+    ///
+    /// Infallible because every block built this way (a compacted part, a
+    /// merged segment, a packed restrict set) holds a subset of the rows
+    /// of one storage, and storage admits fewer than 2^32 rows in total.
+    pub(crate) fn push_slot(&mut self, from: &SketchBlock, slot: usize) {
+        debug_assert!(self.nbits.is_none() || self.nbits == from.nbits);
+        self.nbits = from.nbits;
+        let rows = from.slot_rows(slot);
+        let stride = from.stride();
+        self.words
+            .extend_from_slice(&from.words[rows.start * stride..rows.end * stride]);
+        debug_assert!(self.rows() + rows.len() <= u32::MAX as usize);
+        self.ends.push((self.rows() + rows.len()) as u32);
+        self.ids.push(from.ids[slot]);
     }
 
     /// Reserves room for `objects` more slots holding `rows` more rows
@@ -249,41 +253,30 @@ impl SketchBlock {
 }
 
 /// Hamming distance of `query` (one row) to each row of `rows`, written
-/// to `out`. Two-word rows (the paper's 96-bit image sketches) get a
-/// fixed-width loop the compiler unrolls and vectorises.
+/// to `out`.
 fn row_distances(query: &[u64], rows: &[u64], out: &mut [u32]) {
-    fn fixed<const W: usize>(query: &[u64], rows: &[u64], out: &mut [u32]) {
-        let mut q = [0u64; W];
-        q.copy_from_slice(query);
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(W)) {
-            *o = q.iter().zip(row).map(|(a, b)| (a ^ b).count_ones()).sum();
-        }
-    }
-    match query.len() {
-        2 => fixed::<2>(query, rows, out),
-        w => {
-            for (o, row) in out.iter_mut().zip(rows.chunks_exact(w)) {
-                *o = query
-                    .iter()
-                    .zip(row)
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-            }
-        }
+    for (o, row) in out.iter_mut().zip(rows.chunks_exact(query.len())) {
+        *o = query
+            .iter()
+            .zip(row)
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum();
     }
 }
 
 /// One storage part as [`filter_blocks`] sees it: a block plus the
-/// removed objects whose rows it still holds (a sealed segment's dead
-/// set; the block's rows are immutable).
+/// slots of removed objects whose rows it still holds (a sealed
+/// segment's dead set, or removals a mutable part has not compacted
+/// away yet).
 #[derive(Debug, Clone, Copy)]
 pub struct BlockPart<'a> {
     /// The part's sketch rows.
     pub block: &'a SketchBlock,
-    /// Removed objects still in `block`. Their rows are skipped at heap
-    /// admission, the only point where they could change the result.
-    pub dead: Option<&'a HashSet<ObjectId>>,
-    /// Rows owned by the `dead` objects.
+    /// Slots of removed objects still in `block`. Their rows are skipped
+    /// at heap admission, the only point where they could change the
+    /// result.
+    pub dead: Option<&'a HashSet<u32>>,
+    /// Rows owned by the `dead` slots.
     pub dead_rows: usize,
 }
 
@@ -307,8 +300,9 @@ impl<'a> BlockPart<'a> {
         self.block.rows() - self.dead_rows
     }
 
-    fn is_dead(&self, id: ObjectId) -> bool {
-        self.dead.is_some_and(|dead| dead.contains(&id))
+    /// True if object slot `slot` was removed.
+    pub fn is_dead(&self, slot: usize) -> bool {
+        self.dead.is_some_and(|dead| dead.contains(&(slot as u32)))
     }
 }
 
@@ -408,10 +402,8 @@ impl FilterScan {
     /// The block kernel: streams rows `rows` of `part` in chunks. For
     /// each query slot, a chunk's distances are computed first in a
     /// tight loop over contiguous words, then offered for admission in
-    /// row order against the slot's current limit. Only an admitted row
-    /// looks up its owner (a binary search of the slot ends). Counts the
-    /// rows streamed and the objects whose last row lies in `rows`, so
-    /// shard counts add up to the part's totals.
+    /// row order against the slot's current limit. Only a row within the
+    /// limit looks up its owner (a binary search of the slot ends).
     fn scan_rows(&mut self, part: &BlockPart<'_>, rows: Range<usize>) {
         const CHUNK: usize = 256;
         let block = part.block;
@@ -435,8 +427,7 @@ impl FilterScan {
                         continue;
                     }
                     let owner = block.ends.partition_point(|&e| e as usize <= base + i);
-                    let id = block.ids[owner];
-                    if part.is_dead(id) {
+                    if part.is_dead(owner) {
                         continue;
                     }
                     admit(
@@ -444,17 +435,13 @@ impl FilterScan {
                         cap,
                         HeapEntry {
                             hamming: h,
-                            object: id,
+                            object: block.ids[owner],
                         },
                     );
                     limit = self.limit(s);
                 }
             }
         }
-        let first = block.ends.partition_point(|&e| e as usize <= rows.start);
-        let last = block.ends.partition_point(|&e| e as usize <= rows.end);
-        self.stats.objects_scanned += last - first;
-        self.stats.segments_scanned += rows.len();
     }
 
     /// Merges another scan of the *same query and parameters* into this
@@ -552,9 +539,8 @@ pub fn filter_candidates_sharded(
 ///
 /// Candidates and statistics equal [`filter_candidates`] over the live
 /// objects of `parts` (dead rows are never admitted and never counted),
-/// for every thread count. Also returns what each shard streamed (empty
-/// when the scan ran unsharded); a shard counts every row in its range,
-/// dead ones included, and the objects whose last row it holds.
+/// for every thread count. Also returns the rows each shard streamed,
+/// dead ones included (empty when the scan ran unsharded).
 ///
 /// A query whose sketch width differs from a non-empty block's fails
 /// with [`CoreError::SketchLengthMismatch`]; with no rows at all the
@@ -564,7 +550,7 @@ pub fn filter_blocks(
     parts: &[BlockPart<'_>],
     params: &FilterParams,
     threads: usize,
-) -> Result<(HashSet<ObjectId>, FilterStats, Vec<FilterStats>)> {
+) -> Result<(HashSet<ObjectId>, FilterStats, Vec<usize>)> {
     let mut scan = FilterScan::new(query, params)?;
     for part in parts.iter().filter(|p| p.block.rows() > 0) {
         let nbits = part.block.nbits().unwrap_or(0);
@@ -589,14 +575,13 @@ pub fn filter_blocks(
             }
             base += n;
         }
-        shard
+        (range.len(), shard)
     });
-    let sharded = shard_scans.len() > 1;
-    let mut shards = Vec::new();
-    for shard in shard_scans {
-        if sharded {
-            shards.push(shard.stats);
-        }
+    let mut shard_rows = Vec::new();
+    if shard_scans.len() > 1 {
+        shard_rows = shard_scans.iter().map(|(n, _)| *n).collect();
+    }
+    for (_, shard) in shard_scans {
         scan.merge(shard);
     }
     scan.stats = FilterStats {
@@ -605,7 +590,7 @@ pub fn filter_blocks(
         candidates: 0,
     };
     let (candidates, stats) = scan.finish();
-    Ok((candidates, stats, shards))
+    Ok((candidates, stats, shard_rows))
 }
 
 #[cfg(test)]
@@ -912,10 +897,11 @@ mod tests {
             .collect();
         let first = block_of(&all[..17]);
         let second = block_of(&all[17..]);
-        let dead = HashSet::from([ObjectId(3), ObjectId(8)]);
+        // Slot s of the first block holds object s.
+        let dead = HashSet::from([3u32, 8]);
         let dead_rows = dead
             .iter()
-            .map(|id| objects[id.0 as usize].num_segments())
+            .map(|&s| objects[s as usize].num_segments())
             .sum();
         let parts = [
             BlockPart {
@@ -928,7 +914,7 @@ mod tests {
         let live: Vec<(ObjectId, &SketchedObject)> = all
             .iter()
             .copied()
-            .filter(|(id, _)| !dead.contains(id))
+            .filter(|(id, _)| !dead.contains(&(id.0 as u32)))
             .collect();
         let query = sketched(
             &[&s4(true, true, false, false), &s4(false, true, true, false)],
@@ -947,16 +933,15 @@ mod tests {
                 assert_eq!((cands, stats), reference, "cand {cand} threads {threads}");
                 if threads > 1 {
                     // Shards count every row streamed, dead ones included.
-                    let rows: usize = shards.iter().map(|s| s.segments_scanned).sum();
-                    let objs: usize = shards.iter().map(|s| s.objects_scanned).sum();
-                    assert_eq!((objs, rows), (30, first.rows() + second.rows()));
+                    let rows: usize = shards.iter().sum();
+                    assert_eq!(rows, first.rows() + second.rows());
                 }
             }
         }
     }
 
     #[test]
-    fn block_remove_keeps_slot_order_and_offsets() {
+    fn push_slot_copies_rows_and_offsets() {
         let a = sketched(&[&s4(true, false, false, false)], &[1.0]);
         let b = sketched(
             &[
@@ -966,10 +951,16 @@ mod tests {
             &[0.5, 0.5],
         );
         let c = sketched(&[&s4(false, false, false, true)], &[1.0]);
-        let mut block = block_of(&[(ObjectId(1), &a), (ObjectId(2), &b), (ObjectId(3), &c)]);
-        block.remove(1);
-        assert_eq!(block, block_of(&[(ObjectId(1), &a), (ObjectId(3), &c)]));
-        assert_eq!(block.slot_rows(1), 1..2);
+        let full = block_of(&[(ObjectId(1), &a), (ObjectId(2), &b), (ObjectId(3), &c)]);
+        let mut packed = SketchBlock::default();
+        for slot in [0, 2, 1] {
+            packed.push_slot(&full, slot);
+        }
+        assert_eq!(
+            packed,
+            block_of(&[(ObjectId(1), &a), (ObjectId(3), &c), (ObjectId(2), &b)])
+        );
+        assert_eq!(packed.slot_rows(2), 2..4);
     }
 
     #[test]

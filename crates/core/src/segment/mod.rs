@@ -6,8 +6,8 @@
 //! contiguous [`SketchBlock`](crate::filter::SketchBlock); the filter stage
 //! streams the blocks [`IndexStorage::block_parts`] returns.
 //!
-//! * [`MonolithicStorage`] — one insertion-ordered part; removals take
-//!   effect in place.
+//! * [`MonolithicStorage`] — one insertion-ordered part; a removal marks
+//!   its slot dead and the part compacts itself once half its slots are.
 //! * [`SegmentedStorage`] — an LSM-style layout: a small mutable
 //!   **memtable** absorbs inserts; when it reaches the configured size it
 //!   is **sealed** into an immutable segment; removals land in per-segment
@@ -148,8 +148,7 @@ pub trait IndexStorage: Send + Sync {
 
     /// Runs compaction to quiescence *inline* and deterministically:
     /// applies any finished background merges, then merges until no
-    /// maintenance is due. A no-op for monolithic storage, which removes
-    /// in place.
+    /// maintenance is due. Monolithic storage drops its dead slots.
     fn merge(&mut self) -> Result<()>;
 
     /// Applies finished background work and schedules any due compaction,

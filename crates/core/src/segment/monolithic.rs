@@ -12,9 +12,9 @@ use ferret_store::SegmentStore;
 use super::records::Records;
 use super::{block_bytes_gauge, IndexLayout, IndexStorage, Record, StorageStats};
 
-/// One mutable record set with a single sketch block. Removals take
-/// effect immediately (shifting later records down), so there is
-/// nothing to seal or compact.
+/// One mutable record set with a single sketch block. A removal marks
+/// its slot dead, and the record set compacts itself once half its slots
+/// are dead, so there is nothing to seal or merge.
 #[derive(Default)]
 pub struct MonolithicStorage {
     records: Records,
@@ -66,7 +66,7 @@ impl IndexStorage for MonolithicStorage {
     }
 
     fn live_ids(&self) -> Vec<ObjectId> {
-        self.records.ids().to_vec()
+        self.records.iter().map(|(id, _, _)| id).collect()
     }
 
     fn live_refs(&self) -> Vec<(ObjectId, &SketchedObject, Option<&DataObject>)> {
@@ -74,7 +74,7 @@ impl IndexStorage for MonolithicStorage {
     }
 
     fn block_parts(&self) -> Vec<BlockPart<'_>> {
-        vec![BlockPart::live(self.records.block())]
+        vec![self.records.block_part()]
     }
 
     fn insert_batch(&mut self, batch: Vec<Record>) -> Result<()> {
@@ -99,6 +99,7 @@ impl IndexStorage for MonolithicStorage {
         let present = self.records.remove(id);
         if present {
             self.epoch += 1;
+            self.publish_gauges();
         }
         Ok(present)
     }
@@ -108,6 +109,8 @@ impl IndexStorage for MonolithicStorage {
     }
 
     fn merge(&mut self) -> Result<()> {
+        self.records.compact();
+        self.publish_gauges();
         Ok(())
     }
 
@@ -120,7 +123,7 @@ impl IndexStorage for MonolithicStorage {
             live_objects: self.records.len(),
             memtable_objects: 0,
             sealed_segments: 0,
-            tombstones: 0,
+            tombstones: self.records.block().objects() - self.records.len(),
         }
     }
 
@@ -172,5 +175,51 @@ mod tests {
         assert!(storage.epoch() > e0);
         assert!(storage.is_empty());
         assert_eq!(storage.stats(), StorageStats::default());
+    }
+
+    #[test]
+    fn removals_mark_slots_dead_until_half_are() {
+        use crate::filter::{filter_blocks, filter_candidates, FilterParams};
+        let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
+        let builder = SketchBuilder::new(params, 7);
+        let record = |id: u64, x: f32| {
+            let (obj, so) = sketched(&builder, &[x, 1.0 - x]);
+            (ObjectId(id), so, Some(obj))
+        };
+        let mut storage = MonolithicStorage::new();
+        storage
+            .insert_batch((0..4).map(|i| record(i, 0.1 * i as f32)).collect())
+            .unwrap();
+        // Remove and re-insert id 1: its old slot stays, dead, beside the
+        // new one.
+        assert!(storage.tombstone(ObjectId(1)).unwrap());
+        storage.insert_batch(vec![record(1, 0.9)]).unwrap();
+        assert_eq!(storage.len(), 4);
+        assert_eq!(storage.stats().tombstones, 1);
+        let parts = storage.block_parts();
+        assert_eq!((parts[0].block.objects(), parts[0].live_objects()), (5, 4));
+        assert_eq!(storage.live_ids(), [0, 2, 3, 1].map(ObjectId).to_vec());
+        let (_, query, _) = record(9, 0.85);
+        let filter = FilterParams {
+            candidates_per_segment: 1,
+            ..FilterParams::default()
+        };
+        let live: Vec<(ObjectId, &SketchedObject)> = storage
+            .live_refs()
+            .into_iter()
+            .map(|(id, so, _)| (id, so))
+            .collect();
+        let reference = filter_candidates(&query, live, &filter).unwrap();
+        let (cands, stats, _) = filter_blocks(&query, &parts, &filter, 1).unwrap();
+        assert_eq!((cands, stats), reference);
+        assert_eq!(storage.sketch(ObjectId(1)), Some(&record(1, 0.9).1));
+        // A third dead slot of five compacts the part.
+        assert!(storage.tombstone(ObjectId(0)).unwrap());
+        assert_eq!(storage.block_parts()[0].block.objects(), 5);
+        assert!(storage.tombstone(ObjectId(2)).unwrap());
+        let parts = storage.block_parts();
+        assert_eq!((parts[0].block.objects(), parts[0].dead_rows), (2, 0));
+        assert_eq!(storage.live_ids(), vec![ObjectId(3), ObjectId(1)]);
+        assert_eq!(storage.stats().tombstones, 0);
     }
 }

@@ -5,7 +5,8 @@
 //! Concurrency model: all mutation happens through `&mut self` (the
 //! service serializes writers), so the only cross-thread state is the
 //! compaction mailbox. Writers enqueue a merge job carrying `Arc` clones
-//! of the input segments plus a snapshot of their dead sets; the worker
+//! of the input segments plus a snapshot of their dead sets (slots of
+//! removed objects); the worker
 //! merges off-thread and posts a [`MergeOutcome`] to an outbox. The next
 //! `&mut` operation applies it: if the input run is still present and
 //! the generation matches, the run is spliced out for the merged segment,
@@ -34,7 +35,9 @@ const SEGMENTS_HELP: &str = "Immutable sealed segments in the engine.";
 const MEMTABLE_HELP: &str = "Objects in the mutable memtable awaiting seal.";
 
 /// An immutable sealed segment: a slice of the corpus in insertion order,
-/// with its frozen sketch block.
+/// with its frozen sketch block. Its records hold no dead slots of their
+/// own (a seal compacts them away), so record slot `s` is the `s`-th
+/// record; later removals live in the [`SegmentSlot`]'s dead set.
 struct Segment {
     /// Storage-local segment id (also used to match compaction outcomes
     /// back to their input run).
@@ -43,24 +46,28 @@ struct Segment {
 }
 
 impl Segment {
-    fn live_count(&self, dead: &HashSet<ObjectId>) -> usize {
+    fn live_count(&self, dead: &HashSet<u32>) -> usize {
         self.records.len() - dead.len()
     }
 }
 
-/// A sealed segment plus its mutable side-state: removals recorded since
-/// sealing (and the block rows they own), and the durable file id once
-/// checkpointed.
+/// A sealed segment plus its mutable side-state: the slots of objects
+/// removed since sealing (and the block rows they own), and the durable
+/// file id once checkpointed.
 struct SegmentSlot {
     segment: Arc<Segment>,
-    dead: HashSet<ObjectId>,
+    dead: HashSet<u32>,
     dead_rows: usize,
     persist_id: Option<u64>,
 }
 
 impl SegmentSlot {
-    fn new(segment: Segment, dead: HashSet<ObjectId>) -> Self {
-        let dead_rows = dead.iter().map(|&id| segment.records.rows_of(id)).sum();
+    fn new(segment: Segment, dead: HashSet<u32>) -> Self {
+        let block = segment.records.block();
+        let dead_rows = dead
+            .iter()
+            .map(|&s| block.slot_rows(s as usize).len())
+            .sum();
         Self {
             segment: Arc::new(segment),
             dead,
@@ -87,7 +94,7 @@ struct MergeJob {
     generation: u64,
     out_id: u64,
     inputs: Vec<Arc<Segment>>,
-    dead_claimed: Vec<HashSet<ObjectId>>,
+    dead_claimed: Vec<HashSet<u32>>,
     telemetry: Option<Arc<MetricsRegistry>>,
 }
 
@@ -96,13 +103,12 @@ enum Job {
     Shutdown,
 }
 
-/// Result posted back by the worker; applied by the next writer. A
-/// failed merge leaves its inputs in place.
+/// Result posted back by the worker; applied by the next writer.
 struct MergeOutcome {
     generation: u64,
     input_ids: Vec<u64>,
-    dead_claimed: Vec<HashSet<ObjectId>>,
-    merged: Result<Segment>,
+    dead_claimed: Vec<HashSet<u32>>,
+    merged: Segment,
 }
 
 #[derive(Default)]
@@ -155,7 +161,7 @@ fn worker_loop(shared: Arc<CompactorShared>) {
         let start = std::time::Instant::now();
         let input_ids = job.inputs.iter().map(|s| s.id).collect();
         let merged = merge_segments(job.out_id, &job.inputs, &job.dead_claimed);
-        if let (Some(registry), Ok(_)) = (&job.telemetry, &merged) {
+        if let Some(registry) = &job.telemetry {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
                 "ferret_compaction_seconds",
@@ -175,36 +181,33 @@ fn worker_loop(shared: Arc<CompactorShared>) {
 
 /// Merges a contiguous run of segments into one, dropping records that
 /// were dead at snapshot time, and builds the merged sketch block from
-/// the live rows. Record order is preserved (inputs are in segment order,
-/// records in insertion order), so the merged segment occupies exactly
-/// its inputs' place in the global insertion order.
-fn merge_segments(
-    out_id: u64,
-    inputs: &[Arc<Segment>],
-    dead_claimed: &[HashSet<ObjectId>],
-) -> Result<Segment> {
+/// the inputs' live rows. Record order is preserved (inputs are in
+/// segment order, records in insertion order), so the merged segment
+/// occupies exactly its inputs' place in the global insertion order.
+fn merge_segments(out_id: u64, inputs: &[Arc<Segment>], dead_claimed: &[HashSet<u32>]) -> Segment {
     let live = || {
-        inputs.iter().enumerate().flat_map(|(i, seg)| {
-            let dead = dead_claimed.get(i);
-            seg.records
-                .iter()
-                .filter(move |(id, _, _)| !dead.is_some_and(|d| d.contains(id)))
+        inputs.iter().zip(dead_claimed).flat_map(|(seg, dead)| {
+            (0..seg.records.block().objects() as u32)
+                .filter(move |slot| !dead.contains(slot))
+                .map(move |slot| (seg, slot as usize))
         })
     };
-    let (objects, rows) = live().fold((0, 0), |(o, r), (_, so, _)| (o + 1, r + so.num_segments()));
+    let (objects, rows) = live().fold((0, 0), |(o, r), (seg, slot)| {
+        (o + 1, r + seg.records.block().slot_rows(slot).len())
+    });
     let nbits = inputs
         .iter()
         .find_map(|seg| seg.records.block().nbits())
         .unwrap_or(0);
     let mut records = Records::default();
     records.reserve(objects, rows, nbits);
-    for (id, so, obj) in live() {
-        records.push(id, so.clone(), obj.cloned())?;
+    for (seg, slot) in live() {
+        records.push_from(&seg.records, slot);
     }
-    Ok(Segment {
+    Segment {
         id: out_id,
         records,
-    })
+    }
 }
 
 /// LSM-style [`IndexStorage`]: inserts land in a small mutable memtable,
@@ -265,11 +268,13 @@ impl SegmentedStorage {
         }
     }
 
-    /// Index of the slot where `id` is live, if any.
-    fn live_slot(&self, id: ObjectId) -> Option<usize> {
-        self.slots
-            .iter()
-            .position(|s| s.segment.records.contains(id) && !s.dead.contains(&id))
+    /// Index of the segment slot where `id` is live, with its record
+    /// slot there, if any.
+    fn live_slot(&self, id: ObjectId) -> Option<(usize, usize)> {
+        self.slots.iter().enumerate().find_map(|(i, s)| {
+            let slot = s.segment.records.slot(id)?;
+            (!s.dead.contains(&(slot as u32))).then_some((i, slot))
+        })
     }
 
     fn publish_gauges(&self) {
@@ -303,16 +308,13 @@ impl SegmentedStorage {
             if outcome.generation != self.generation {
                 continue;
             }
-            let Ok(merged) = outcome.merged else {
-                continue;
-            };
             let Some(start) = self.find_run(&outcome.input_ids) else {
                 continue;
             };
             self.splice_run(
                 start,
                 outcome.input_ids.len(),
-                merged,
+                outcome.merged,
                 &outcome.dead_claimed,
             )?;
         }
@@ -341,16 +343,16 @@ impl SegmentedStorage {
         start: usize,
         len: usize,
         merged: Segment,
-        dead_claimed: &[HashSet<ObjectId>],
+        dead_claimed: &[HashSet<u32>],
     ) -> Result<()> {
         let mut dead = HashSet::new();
-        for (i, slot) in self.slots[start..start + len].iter().enumerate() {
-            let claimed = dead_claimed.get(i);
+        for (slot, claimed) in self.slots[start..start + len].iter().zip(dead_claimed) {
+            let ids = slot.segment.records.block().ids();
             dead.extend(
                 slot.dead
-                    .iter()
-                    .filter(|id| !claimed.is_some_and(|c| c.contains(id)))
-                    .copied(),
+                    .difference(claimed)
+                    .filter_map(|&s| merged.records.slot(ids[s as usize]))
+                    .map(|s| s as u32),
             );
         }
         let slot = SegmentSlot::new(merged, dead);
@@ -419,11 +421,7 @@ impl SegmentedStorage {
 
     /// Snapshot of the run for a merge: `Arc` clones of the segments plus
     /// the dead sets as of now.
-    fn snapshot_run(
-        &self,
-        start: usize,
-        len: usize,
-    ) -> (Vec<Arc<Segment>>, Vec<HashSet<ObjectId>>) {
+    fn snapshot_run(&self, start: usize, len: usize) -> (Vec<Arc<Segment>>, Vec<HashSet<u32>>) {
         let inputs = self.slots[start..start + len]
             .iter()
             .map(|s| Arc::clone(&s.segment))
@@ -530,7 +528,7 @@ impl SegmentedStorage {
         let out_id = self.next_segment_id;
         self.next_segment_id += 1;
         let begin = std::time::Instant::now();
-        let merged = merge_segments(out_id, &inputs, &dead_claimed)?;
+        let merged = merge_segments(out_id, &inputs, &dead_claimed);
         if let Some(registry) = &self.telemetry {
             registry.inc_counter("ferret_compactions_total", COMPACTIONS_HELP, &[], 1);
             registry.observe_latency(
@@ -568,7 +566,7 @@ impl IndexStorage for SegmentedStorage {
             return self.memtable.object(id);
         }
         self.live_slot(id)
-            .and_then(|i| self.slots[i].segment.records.object(id))
+            .and_then(|(i, _)| self.slots[i].segment.records.object(id))
     }
 
     fn sketch(&self, id: ObjectId) -> Option<&SketchedObject> {
@@ -576,7 +574,7 @@ impl IndexStorage for SegmentedStorage {
             return Some(so);
         }
         self.live_slot(id)
-            .and_then(|i| self.slots[i].segment.records.sketch(id))
+            .and_then(|(i, _)| self.slots[i].segment.records.sketch(id))
     }
 
     fn live_ids(&self) -> Vec<ObjectId> {
@@ -590,7 +588,9 @@ impl IndexStorage for SegmentedStorage {
                 slot.segment
                     .records
                     .iter()
-                    .filter(|(id, _, _)| !slot.dead.contains(id)),
+                    .enumerate()
+                    .filter(|(s, _)| !slot.dead.contains(&(*s as u32)))
+                    .map(|(_, record)| record),
             );
         }
         out.extend(self.memtable.iter());
@@ -600,15 +600,29 @@ impl IndexStorage for SegmentedStorage {
     fn block_parts(&self) -> Vec<BlockPart<'_>> {
         let mut parts: Vec<BlockPart<'_>> =
             self.slots.iter().map(SegmentSlot::block_part).collect();
-        parts.push(BlockPart::live(self.memtable.block()));
+        parts.push(self.memtable.block_part());
         parts
     }
 
     fn insert_batch(&mut self, batch: Vec<Record>) -> Result<()> {
         self.apply_pending()?;
+        // Blocks built from this storage's rows (a merged segment, a
+        // packed restrict set) index them with u32 offsets.
+        let mut rows = self.memtable.block().rows()
+            + self
+                .slots
+                .iter()
+                .map(|s| s.segment.records.block().rows())
+                .sum::<usize>();
         for (id, sketched, original) in batch {
             if self.contains(id) {
                 return Err(CoreError::DuplicateObject(id.0));
+            }
+            rows += sketched.num_segments();
+            if rows > u32::MAX as usize {
+                return Err(CoreError::InvalidSketchParams(
+                    "storage exceeds 2^32 segment sketches".into(),
+                ));
             }
             self.memtable.push(id, sketched, original)?;
             self.epoch += 1;
@@ -628,10 +642,10 @@ impl IndexStorage for SegmentedStorage {
             self.publish_gauges();
             return Ok(true);
         }
-        if let Some(i) = self.live_slot(id) {
+        if let Some((i, record)) = self.live_slot(id) {
             let slot = &mut self.slots[i];
-            slot.dead.insert(id);
-            slot.dead_rows += slot.segment.records.rows_of(id);
+            slot.dead.insert(record as u32);
+            slot.dead_rows += slot.segment.records.block().slot_rows(record).len();
             self.epoch += 1;
             self.schedule_compaction();
             self.publish_gauges();

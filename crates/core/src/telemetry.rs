@@ -562,9 +562,8 @@ pub struct StageTrace {
 /// Per-shard scan statistics from a sharded filter pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTrace {
-    /// Objects the shard streamed.
-    pub objects_scanned: usize,
-    /// Segment sketches the shard compared.
+    /// Segment sketch rows the shard streamed, including rows of removed
+    /// objects not reclaimed yet.
     pub segments_scanned: usize,
 }
 
@@ -617,12 +616,7 @@ impl QueryTrace {
         let shards: Vec<String> = self
             .shards
             .iter()
-            .map(|s| {
-                format!(
-                    "{{\"objects_scanned\":{},\"segments_scanned\":{}}}",
-                    s.objects_scanned, s.segments_scanned
-                )
-            })
+            .map(|s| format!("{{\"segments_scanned\":{}}}", s.segments_scanned))
             .collect();
         format!(
             "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"filter\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{},\"shards\":[{}]}}",
@@ -797,11 +791,9 @@ mod tests {
             results: 10,
             shards: vec![
                 ShardTrace {
-                    objects_scanned: 50,
                     segments_scanned: 125,
                 },
                 ShardTrace {
-                    objects_scanned: 50,
                     segments_scanned: 125,
                 },
             ],
@@ -811,7 +803,7 @@ mod tests {
         assert!(json.contains("\"candidates\":12"), "{json}");
         assert!(json.contains("\"threads\":4"), "{json}");
         assert!(
-            json.contains("\"shards\":[{\"objects_scanned\":50"),
+            json.contains("\"shards\":[{\"segments_scanned\":125}"),
             "{json}"
         );
         assert!(!json.contains("null") || trace.sketch.is_none());

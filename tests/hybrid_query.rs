@@ -20,6 +20,7 @@ use ferret::core::engine::{EngineBuilder, EngineConfig, QueryMode, QueryOptions,
 use ferret::core::filter::filter_candidates;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
+use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::{SketchParams, SketchedObject};
 use ferret::core::vector::FeatureVector;
 
@@ -43,17 +44,27 @@ fn object_strategy() -> impl Strategy<Value = DataObject> {
 }
 
 fn build_engine(parallelism: Parallelism, items: &[(ObjectId, DataObject)]) -> SearchEngine {
-    build_engine_with(parallelism, 96, items)
+    build_engine_with(parallelism, 96, false, items)
 }
 
+/// The segmented layout gets a 3-object memtable and inline compaction
+/// only, so the objects span several sealed segments and removals leave
+/// dead rows.
 fn build_engine_with(
     parallelism: Parallelism,
     nbits: usize,
+    segmented: bool,
     items: &[(ObjectId, DataObject)],
 ) -> SearchEngine {
     let params =
         SketchParams::with_options(nbits, 2, vec![0.0; DIM], vec![1.0; DIM], None).unwrap();
-    let config = EngineConfig::basic(params, SEED).with_parallelism(parallelism);
+    let mut config = EngineConfig::basic(params, SEED).with_parallelism(parallelism);
+    if segmented {
+        config = config
+            .with_index_layout(IndexLayout::Segmented)
+            .with_memtable_size(3)
+            .with_compaction(false);
+    }
     let mut engine = EngineBuilder::from_config(config).build().unwrap();
     engine.insert_batch(items.to_vec()).unwrap();
     engine
@@ -131,7 +142,8 @@ proptest! {
     /// objects — pushdown behaves as if the excluded objects never
     /// existed, even with a tight candidate budget. Both also match the
     /// reference row scan over the allowed live objects (candidates and
-    /// scan statistics), across sketch widths, thresholds, `r`, and
+    /// scan statistics), across sketch widths, thresholds, `r`, both
+    /// layouts of the full engine, allowed sets up to every object, and
     /// removals followed by re-inserts.
     #[test]
     fn pushdown_matches_subset_engine_on_filtering_path(
@@ -142,8 +154,11 @@ proptest! {
         nbits_idx in 0usize..4,
         filter in (1usize..4, 1usize..5, any::<bool>(), 0u32..64),
         removed in prop::collection::vec(any::<bool>(), 12),
+        segmented in any::<bool>(),
+        allow_all in any::<bool>(),
     ) {
         let parallelism = [Parallelism::Serial, Parallelism::Threads(3)][par_idx];
+        let mask: Vec<bool> = mask.iter().map(|&m| m || allow_all).collect();
         let nbits = [64usize, 96, 640, 832][nbits_idx];
         let items: Vec<(ObjectId, DataObject)> = objects
             .iter()
@@ -165,7 +180,7 @@ proptest! {
             .map(|(_, (id, _))| *id)
             .collect();
 
-        let mut full_engine = build_engine_with(parallelism, nbits, &items);
+        let mut full_engine = build_engine_with(parallelism, nbits, segmented, &items);
         for (i, (id, obj)) in items.iter().enumerate() {
             if removed[i] {
                 prop_assert!(full_engine.remove(*id).unwrap());
@@ -174,7 +189,7 @@ proptest! {
                 }
             }
         }
-        let subset_engine = build_engine_with(parallelism, nbits, &subset);
+        let subset_engine = build_engine_with(parallelism, nbits, false, &subset);
 
         let seed = &objects[0];
         let params = ferret::core::filter::FilterParams {
@@ -192,8 +207,8 @@ proptest! {
         let oracle_resp = subset_engine.query(seed, &plain).unwrap();
         prop_assert_eq!(
             results_of(&hybrid_resp), results_of(&oracle_resp),
-            "par {:?}: restricted full engine != subset engine",
-            parallelism
+            "par {:?} segmented {}: restricted full engine != subset engine",
+            parallelism, segmented
         );
 
         let qs = full_engine.sketch_query(seed).unwrap();
