@@ -9,13 +9,16 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::distance::emd::{emd_with_costs, greedy_emd_with_costs, Emd, GreedyEmd, ThresholdedEmd};
+use crate::distance::emd::{
+    emd_with_costs, greedy_emd_with_costs, thresholded_emd_with_costs, Emd, GreedyEmd,
+    ThresholdedEmd,
+};
 use crate::distance::{ObjectDistance, SegmentDistance};
 use crate::error::{CoreError, Result};
 use crate::filter::{filter_blocks, BlockPart, FilterParams, SketchBlock};
 use crate::object::{DataObject, ObjectId};
 use crate::parallel::{try_map_chunked, Parallelism, DEFAULT_CHUNK};
-use crate::rank::{rank_candidates_parallel, rank_scores, SearchResult};
+use crate::rank::{rank_candidates_pruned, rank_scores, SearchResult};
 use crate::segment::{
     IndexLayout, IndexStorage, MonolithicStorage, SegmentedStorage, StorageStats,
 };
@@ -439,8 +442,12 @@ pub struct QueryStats {
     pub objects_scanned: usize,
     /// Segment sketches compared during filtering.
     pub segments_scanned: usize,
-    /// Objects whose object distance to the query was evaluated.
+    /// Objects that entered the ranking stage (the candidates).
     pub distance_evals: usize,
+    /// Candidates the ranking stage never evaluated, because their lower
+    /// bound ruled them out of the top k. Results never depend on it;
+    /// with more than one rank thread its value depends on timing.
+    pub solves_skipped: usize,
     /// Wall-clock time for the query.
     pub elapsed: Duration,
 }
@@ -922,6 +929,7 @@ impl SearchEngine {
             objects_scanned: 0,
             segments_scanned: 0,
             distance_evals: 0,
+            solves_skipped: 0,
             elapsed: Duration::ZERO,
         };
         let mut trace = self.telemetry.is_some().then(QueryTrace::default);
@@ -955,6 +963,7 @@ impl SearchEngine {
         t.objects_scanned = stats.objects_scanned;
         t.segments_scanned = stats.segments_scanned;
         t.distance_evals = stats.distance_evals;
+        t.solves_skipped = stats.solves_skipped;
         t.results = results;
         if let Some(registry) = &self.telemetry {
             Self::record_query_metrics(registry, t);
@@ -1016,10 +1025,18 @@ impl SearchEngine {
         );
         registry.inc_counter(
             "ferret_query_distance_evals_total",
-            "Object-distance evaluations in the ranking stage.",
+            "Candidates entering the ranking stage, evaluated or skipped by the bound.",
             &[("mode", mode)],
             trace.distance_evals as u64,
         );
+        if trace.rank.is_some() {
+            registry.inc_counter(
+                "ferret_rank_solves_skipped_total",
+                "Candidate distance evaluations the rank stage's lower bound skipped.",
+                &[("mode", mode)],
+                trace.solves_skipped as u64,
+            );
+        }
         registry
             .histogram(
                 "ferret_query_candidates",
@@ -1065,6 +1082,7 @@ impl SearchEngine {
                     objects_scanned: 0,
                     segments_scanned: 0,
                     distance_evals: 0,
+                    solves_skipped: 0,
                     elapsed: Duration::ZERO,
                 };
                 let mut trace = self.telemetry.is_some().then(QueryTrace::default);
@@ -1151,7 +1169,8 @@ impl SearchEngine {
         stats.distance_evals = collected.len();
         let threads = self.config.parallelism.threads_for(collected.len());
         let clock = StageClock::start(trace.is_some());
-        let ranked = rank_candidates_parallel(query, &collected, dist.as_ref(), options.k, threads);
+        let ranked = rank_candidates_pruned(query, &collected, dist.as_ref(), options.k, threads)?;
+        stats.solves_skipped = ranked.solves_skipped;
         if let (Some(t), Some(elapsed)) = (trace.as_mut(), clock.elapsed()) {
             t.candidates = collected.len();
             t.rank = Some(StageTrace {
@@ -1159,7 +1178,7 @@ impl SearchEngine {
                 threads,
             });
         }
-        ranked
+        Ok(ranked.results)
     }
 
     /// Object distance between two sketched objects: EMD over scaled
@@ -1182,9 +1201,7 @@ impl SearchEngine {
         match &self.config.ranking {
             RankingMethod::Emd => emd_with_costs(&a.weights, &b.weights, ground),
             RankingMethod::ThresholdedEmd { tau, sqrt_weights } => {
-                let wa = transform_weights(&a.weights, *sqrt_weights);
-                let wb = transform_weights(&b.weights, *sqrt_weights);
-                emd_with_costs(&wa, &wb, |i, j| ground(i, j).min(*tau))
+                thresholded_emd_with_costs(&a.weights, &b.weights, *tau, *sqrt_weights, ground)
             }
             RankingMethod::GreedyEmd => greedy_emd_with_costs(&a.weights, &b.weights, ground),
             RankingMethod::Custom(_) => Err(CoreError::InvalidQuery(
@@ -1328,7 +1345,10 @@ impl SearchEngine {
                 .iter()
                 .filter_map(|&id| self.storage.object(id).map(|o| (id, o)))
                 .collect();
-            rank_candidates_parallel(query, &cands, dist.as_ref(), options.k, rank_threads)
+            let ranked =
+                rank_candidates_pruned(query, &cands, dist.as_ref(), options.k, rank_threads)?;
+            stats.solves_skipped = ranked.solves_skipped;
+            Ok(ranked.results)
         } else {
             // Sketch-only engine: rank candidates by sketch distance.
             let cands: Vec<(ObjectId, &SketchedObject)> = cand_ids
@@ -1349,18 +1369,6 @@ impl SearchEngine {
         }
         ranked
     }
-}
-
-fn transform_weights(weights: &[f32], sqrt: bool) -> Vec<f32> {
-    if !sqrt {
-        return weights.to_vec();
-    }
-    let sqrted: Vec<f64> = weights.iter().map(|&w| f64::from(w).sqrt()).collect();
-    let sum: f64 = sqrted.iter().sum();
-    if sum <= 0.0 {
-        return weights.to_vec();
-    }
-    sqrted.into_iter().map(|w| (w / sum) as f32).collect()
 }
 
 #[cfg(test)]
@@ -1704,6 +1712,53 @@ mod tests {
         let q = obj(&[(&[0.5, 0.5], 1.0)]);
         assert!(e.query(&q, &QueryOptions::brute_force_sketch(1)).is_err());
         assert!(e.query(&q, &QueryOptions::brute_force(1)).is_ok());
+    }
+
+    /// A custom distance that is NaN for every pair.
+    struct NanDistance;
+
+    impl ObjectDistance for NanDistance {
+        fn name(&self) -> &'static str {
+            "nan"
+        }
+
+        fn distance(&self, _: &DataObject, _: &DataObject) -> Result<f64> {
+            Ok(f64::NAN)
+        }
+    }
+
+    #[test]
+    fn nan_custom_distance_fails_the_query() {
+        let mut cfg = EngineConfig::basic(params(64, 2), 1);
+        cfg.ranking = RankingMethod::Custom(Arc::new(NanDistance));
+        let mut e = EngineBuilder::from_config(cfg).build().unwrap();
+        for i in 0..40u64 {
+            let x = i as f32 / 40.0;
+            e.insert(ObjectId(i), obj(&[(&[x, 0.5], 1.0)])).unwrap();
+        }
+        let q = obj(&[(&[0.5, 0.5], 1.0)]);
+        let err = e.query(&q, &QueryOptions::brute_force(5)).unwrap_err();
+        assert!(err.to_string().contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn rank_stage_reports_skipped_solves() {
+        let (mut e, q) = clustered_engine();
+        let registry = Arc::new(MetricsRegistry::new());
+        e.set_telemetry(Some(Arc::clone(&registry)));
+        let resp = e.query(&q, &QueryOptions::brute_force(2)).unwrap();
+        assert!(resp.stats.solves_skipped > 0, "{:?}", resp.stats);
+        let mode = resp.stats.mode.to_string();
+        assert_eq!(
+            registry.counter_value("ferret_rank_solves_skipped_total", &[("mode", &mode)]),
+            Some(resp.stats.solves_skipped as u64)
+        );
+        assert!(resp.stats.solves_skipped < resp.stats.distance_evals);
+        let trace = resp.trace.unwrap();
+        assert_eq!(trace.solves_skipped, resp.stats.solves_skipped);
+        assert!(trace
+            .to_json()
+            .contains(&format!("\"solves_skipped\":{}", resp.stats.solves_skipped)));
     }
 
     #[test]

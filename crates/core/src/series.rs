@@ -72,11 +72,12 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_pushdown_skipped_total", C, "Objects excluded before heap admission by predicate pushdown.";
     "ferret_queries_total", C, "Similarity queries executed, by mode.";
     "ferret_query_candidates", HS, "Candidate-set size entering the ranking stage.";
-    "ferret_query_distance_evals_total", C, "Object-distance evaluations in the ranking stage.";
+    "ferret_query_distance_evals_total", C, "Candidates entering the ranking stage, evaluated or skipped by the bound.";
     "ferret_query_objects_scanned_total", C, "Objects scanned in the filtering stage.";
     "ferret_query_seconds", HL, "End-to-end query latency, by mode.";
     "ferret_query_segments_scanned_total", C, "Segment sketches compared in the filtering stage.";
     "ferret_query_stage_seconds", HL, "Per-stage query latency, by stage.";
+    "ferret_rank_solves_skipped_total", C, "Candidate distance evaluations the rank stage's lower bound skipped.";
     "ferret_rejected_total", C, "Queries rejected by admission control.";
     "ferret_segments", G, "Immutable sealed segments in the engine.";
     "ferret_sketch_block_bytes", G, "Bytes allocated by the filter's contiguous sketch blocks.";

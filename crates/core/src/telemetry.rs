@@ -592,8 +592,11 @@ pub struct QueryTrace {
     pub segments_scanned: usize,
     /// Candidate-set size entering the ranking stage.
     pub candidates: usize,
-    /// Object-distance evaluations in the ranking stage.
+    /// Candidates that entered the ranking stage.
     pub distance_evals: usize,
+    /// Candidates whose distance evaluation the rank stage's lower bound
+    /// skipped.
+    pub solves_skipped: usize,
     /// Results returned.
     pub results: usize,
     /// Per-shard scan statistics of the filter stage (empty when the
@@ -619,7 +622,7 @@ impl QueryTrace {
             .map(|s| format!("{{\"segments_scanned\":{}}}", s.segments_scanned))
             .collect();
         format!(
-            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"filter\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"results\":{},\"shards\":[{}]}}",
+            "{{\"mode\":\"{}\",\"total_seconds\":{},\"sketch\":{},\"filter\":{},\"rank\":{},\"objects_scanned\":{},\"segments_scanned\":{},\"candidates\":{},\"distance_evals\":{},\"solves_skipped\":{},\"results\":{},\"shards\":[{}]}}",
             escape_label_value(&self.mode),
             format_f64(self.total.as_secs_f64()),
             stage(&self.sketch),
@@ -629,6 +632,7 @@ impl QueryTrace {
             self.segments_scanned,
             self.candidates,
             self.distance_evals,
+            self.solves_skipped,
             self.results,
             shards.join(",")
         )
@@ -788,6 +792,7 @@ mod tests {
             segments_scanned: 250,
             candidates: 12,
             distance_evals: 12,
+            solves_skipped: 3,
             results: 10,
             shards: vec![
                 ShardTrace {
@@ -801,6 +806,7 @@ mod tests {
         let json = trace.to_json();
         assert!(json.contains("\"mode\":\"filtering\""), "{json}");
         assert!(json.contains("\"candidates\":12"), "{json}");
+        assert!(json.contains("\"solves_skipped\":3"), "{json}");
         assert!(json.contains("\"threads\":4"), "{json}");
         assert!(
             json.contains("\"shards\":[{\"segments_scanned\":125}"),

@@ -130,8 +130,10 @@ for stage in sketch filter; do
     echo "$METRICS" | grep "^ferret_query_stage_seconds" | grep -q "stage=\"$stage\"" \
         || { echo "/metrics missing the $stage stage timer:"; echo "$METRICS" | grep '^ferret_query_stage' | head -n 20; exit 1; }
 done
-# The eagerly registered ingest and sketch-block series exist.
-for series in ferret_sketch_objects_total ferret_sketch_objects_per_sec ferret_sketch_block_bytes; do
+# The eagerly registered ingest and sketch-block series exist, and the
+# rank stage ran, so its skipped-solve counter has a sample.
+for series in ferret_sketch_objects_total ferret_sketch_objects_per_sec ferret_sketch_block_bytes \
+              ferret_rank_solves_skipped_total; do
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 done
@@ -196,8 +198,10 @@ done
 [ -n "$COMPACTIONS" ] && [ "$COMPACTIONS" -gt 0 ] \
     || { echo "segmented serve never compacted:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 # The segment gauges are live on /metrics and /stat reports the layout's
-# structure alongside the object count.
-for series in ferret_segments ferret_memtable_objects ferret_sketch_block_bytes; do
+# structure alongside the object count; the reads above ranked, so the
+# skipped-solve counter has a sample.
+for series in ferret_segments ferret_memtable_objects ferret_sketch_block_bytes \
+              ferret_rank_solves_skipped_total; do
     echo "$METRICS" | grep -q "^$series" \
         || { echo "/metrics missing $series:"; echo "$METRICS" | grep '^ferret_' | head -n 20; exit 1; }
 done
