@@ -159,7 +159,8 @@ where
 pub const DEFAULT_CHUNK: usize = 8;
 
 /// Applies a fallible `work(index, &item)` to every item of `items` on
-/// `threads` scoped workers, returning outputs in item order.
+/// `threads` workers — the calling thread and `threads - 1` scoped
+/// threads — returning outputs in item order.
 ///
 /// Workers claim fixed-size index chunks from a shared atomic counter
 /// (a work-stealing queue degenerated to a ticket counter), so uneven
@@ -212,16 +213,20 @@ where
         (produced, failure)
     };
     let per_worker = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(num_chunks))
+        // The calling thread works as worker 0 instead of idling in join.
+        let handles: Vec<_> = (1..threads.min(num_chunks))
             .map(|w| {
                 let worker = &worker;
                 scope.spawn(move || worker(w))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect::<Vec<_>>()
+        let mut per_worker = vec![worker(0)];
+        per_worker.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        per_worker
     });
 
     // Chunks are claimed in increasing index order, and each worker stops
