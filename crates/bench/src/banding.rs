@@ -12,15 +12,15 @@
 //!
 //! Compared to the filter scan this trades recall (a near sketch can miss
 //! all bands) for query time that depends on the number of colliding
-//! entries rather than the dataset size. The `banded_index` bench and the
-//! recall tests quantify the trade.
+//! entries rather than the dataset size. The `indexing` experiment binary
+//! and the recall tests quantify the trade.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
 
-use crate::error::{CoreError, Result};
-use crate::object::ObjectId;
-use crate::sketch::{BitVec, SketchedObject};
+use ferret_core::error::{CoreError, Result};
+use ferret_core::object::ObjectId;
+use ferret_core::sketch::{BitVec, SketchedObject};
 
 /// Parameters of the banded index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,9 +167,9 @@ impl BandedSketchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::DataObject;
-    use crate::sketch::{SketchBuilder, SketchParams};
-    use crate::vector::FeatureVector;
+    use ferret_core::object::DataObject;
+    use ferret_core::sketch::{SketchBuilder, SketchParams};
+    use ferret_core::vector::FeatureVector;
 
     fn builder(nbits: usize) -> SketchBuilder {
         SketchBuilder::new(

@@ -9,10 +9,10 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
+use ferret_bench::banding::{BandedSketchIndex, BandingParams};
 use ferret_bench::BenchArgs;
 use ferret_core::engine::{QueryOptions, SearchEngine};
 use ferret_core::filter::{filter_candidates, FilterParams};
-use ferret_core::index::{BandedSketchIndex, BandingParams};
 use ferret_core::object::ObjectId;
 use ferret_datatypes::image::{generate_vary_dataset, image_sketch_params, VaryConfig};
 use ferret_eval::{format_duration, TextTable};

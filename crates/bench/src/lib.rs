@@ -8,6 +8,8 @@
 use ferret_core::engine::{EngineBuilder, EngineConfig, SearchEngine};
 use ferret_datatypes::Dataset;
 
+pub mod banding;
+
 /// Parsed `--scale <f>` / `--seed <n>` / `--csv <path>` process arguments.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {

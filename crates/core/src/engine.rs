@@ -15,14 +15,12 @@ use crate::distance::emd::{
 };
 use crate::distance::{ObjectDistance, SegmentDistance};
 use crate::error::{CoreError, Result};
-use crate::filter::{filter_blocks, BlockPart, FilterParams, SketchBlock};
+use crate::filter::{filter_block, BlockPart, FilterParams, SketchBlock};
 use crate::object::{DataObject, ObjectId};
 use crate::parallel::{try_map_chunked, Parallelism, DEFAULT_CHUNK};
 use crate::rank::{rank_candidates_pruned, rank_scores, SearchResult};
-use crate::segment::{
-    IndexLayout, IndexStorage, MonolithicStorage, SegmentedStorage, StorageStats,
-};
 use crate::sketch::{SketchBuilder, SketchParams, SketchedObject};
+use crate::storage::{Storage, StorageStats};
 use crate::telemetry::{
     MetricsRegistry, QueryTrace, ShardTrace, StageClock, StageTrace, SIZE_BUCKETS,
 };
@@ -114,22 +112,7 @@ pub struct EngineConfig {
     /// batch sketch construction may use. Results are bit-identical for
     /// every setting; this only trades wall-clock time for cores.
     pub parallelism: Parallelism,
-    /// Which storage layout backs the object maps: one mutable monolith,
-    /// or LSM-style immutable segments. Results are bit-identical for
-    /// every setting (see [`IndexLayout`]).
-    pub index_layout: IndexLayout,
-    /// Seal threshold of the segmented layout's memtable (ignored by
-    /// [`IndexLayout::Monolithic`]).
-    pub memtable_size: usize,
-    /// Run the segmented layout's background compaction worker (ignored
-    /// by [`IndexLayout::Monolithic`]). Off, segments only merge through
-    /// explicit [`SearchEngine::compact`] calls — deterministic, for
-    /// tests.
-    pub compaction: bool,
 }
-
-/// Default memtable seal threshold for [`IndexLayout::Segmented`].
-pub const DEFAULT_MEMTABLE_SIZE: usize = 1024;
 
 impl EngineConfig {
     /// Conventional configuration: ℓ₁ segment distance, exact EMD ranking,
@@ -142,9 +125,6 @@ impl EngineConfig {
             ranking: RankingMethod::Emd,
             store_originals: true,
             parallelism: Parallelism::Auto,
-            index_layout: IndexLayout::default(),
-            memtable_size: DEFAULT_MEMTABLE_SIZE,
-            compaction: true,
         }
     }
 
@@ -169,24 +149,6 @@ impl EngineConfig {
     /// Sets the parallelism budget.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the index storage layout.
-    pub fn with_index_layout(mut self, index_layout: IndexLayout) -> Self {
-        self.index_layout = index_layout;
-        self
-    }
-
-    /// Sets the segmented layout's memtable seal threshold.
-    pub fn with_memtable_size(mut self, memtable_size: usize) -> Self {
-        self.memtable_size = memtable_size;
-        self
-    }
-
-    /// Enables or disables the segmented layout's background compaction.
-    pub fn with_compaction(mut self, compaction: bool) -> Self {
-        self.compaction = compaction;
         self
     }
 }
@@ -495,9 +457,7 @@ impl MetadataFootprint {
 /// ```
 /// use ferret_core::prelude::*;
 /// let params = SketchParams::new(64, vec![0.0; 2], vec![1.0; 2]).unwrap();
-/// let config = EngineConfig::basic(params, 42)
-///     .with_index_layout(IndexLayout::Segmented)
-///     .with_memtable_size(64);
+/// let config = EngineConfig::basic(params, 42).with_parallelism(Parallelism::Serial);
 /// let engine = EngineBuilder::from_config(config).build().unwrap();
 /// assert!(engine.is_empty());
 /// ```
@@ -533,19 +493,12 @@ impl EngineBuilder {
         let config = self.config;
         let builder = SketchBuilder::new(config.sketch.clone(), config.seed);
         let sketch_scale = 1.0 / builder.hamming_per_l1();
-        let storage: Box<dyn IndexStorage> = match config.index_layout {
-            IndexLayout::Monolithic => Box::new(MonolithicStorage::new()),
-            IndexLayout::Segmented => Box::new(SegmentedStorage::new(
-                config.memtable_size,
-                config.compaction,
-            )),
-        };
         let mut engine = SearchEngine {
             builder,
             sketch_scale,
             config,
             telemetry: None,
-            storage,
+            storage: Storage::default(),
         };
         if self.telemetry.is_some() {
             engine.set_telemetry(self.telemetry);
@@ -565,8 +518,8 @@ pub struct SearchEngine {
     /// When set, queries are timed per stage, metrics are recorded into
     /// the registry, and responses carry a [`QueryTrace`].
     telemetry: Option<Arc<MetricsRegistry>>,
-    /// The object maps, behind the layout seam.
-    storage: Box<dyn IndexStorage>,
+    /// The stored records and their sketch block.
+    storage: Storage,
 }
 
 impl SearchEngine {
@@ -583,11 +536,6 @@ impl SearchEngine {
     /// The engine's full construction configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The engine's index storage layout.
-    pub fn index_layout(&self) -> IndexLayout {
-        self.storage.layout()
     }
 
     /// The engine's parallelism setting.
@@ -632,44 +580,29 @@ impl SearchEngine {
         }
     }
 
-    /// Point-in-time statistics of the storage layout (segment counts,
-    /// memtable occupancy, tombstones).
+    /// Point-in-time statistics of the storage (live objects and removed
+    /// slots not yet compacted away).
     pub fn storage_stats(&self) -> StorageStats {
         self.storage.stats()
     }
 
     /// The storage epoch: a monotone counter advancing on every visible
-    /// mutation (insert, remove, seal, compaction apply). Equal epochs
-    /// imply identical visible state.
+    /// mutation (insert, remove). Equal epochs imply identical visible
+    /// state.
     pub fn storage_epoch(&self) -> u64 {
         self.storage.epoch()
     }
 
-    /// Seals the segmented layout's memtable into an immutable segment
-    /// (no-op for the monolithic layout or an empty memtable).
-    pub fn seal(&mut self) -> Result<()> {
-        self.storage.seal()
+    /// Drops the slots of removed objects now rather than when half the
+    /// slots are dead. Query results never change.
+    pub fn compact(&mut self) {
+        self.storage.compact();
     }
 
-    /// Runs compaction to quiescence inline: merges small or
-    /// removal-heavy segment runs synchronously (no-op for the monolithic
-    /// layout).
-    pub fn compact(&mut self) -> Result<()> {
-        self.storage.merge()
-    }
-
-    /// Applies any finished background compactions and schedules due
-    /// ones, without blocking. Call periodically (the serve scan loop
-    /// does) so background merges land even when the write path is idle.
+    /// Does nothing. Kept only because the benchmark harness still calls
+    /// it.
     pub fn maintain(&mut self) -> Result<()> {
-        self.storage.maintain()
-    }
-
-    /// Attaches durable segment persistence (segmented layout only; the
-    /// monolithic layout has no segments and ignores this). The current
-    /// sealed segments are checkpointed immediately.
-    pub fn attach_segment_persistence(&mut self, store: ferret_store::SegmentStore) -> Result<()> {
-        self.storage.attach_persistence(store)
+        Ok(())
     }
 
     /// Enables (or disables, with `None`) telemetry collection. When
@@ -678,7 +611,7 @@ impl SearchEngine {
     /// response. Collection never changes query results.
     pub fn set_telemetry(&mut self, registry: Option<Arc<MetricsRegistry>>) {
         self.telemetry = registry;
-        self.storage.set_telemetry(self.telemetry.clone());
+        self.storage.set_telemetry(self.telemetry.as_deref());
         // Register the ingest sketch series eagerly so `/metrics` shows
         // them (at zero) even before the first post-enable insert — the
         // initial import typically happens before telemetry is wired up.
@@ -730,7 +663,7 @@ impl SearchEngine {
 
     /// Object ids in insertion order.
     pub fn ids(&self) -> Vec<ObjectId> {
-        self.storage.live_ids()
+        self.storage.iter().map(|(id, _, _)| id).collect()
     }
 
     /// The original object, if originals are stored.
@@ -800,12 +733,11 @@ impl SearchEngine {
         self.storage.insert_batch(records)
     }
 
-    /// Removes an object; returns `true` if it was present. With the
-    /// segmented layout the removal is a tombstone until compaction
-    /// reclaims it, which is why this can now report an I/O error (the
-    /// tombstone may trigger a persisted compaction apply).
-    pub fn remove(&mut self, id: ObjectId) -> Result<bool> {
-        self.storage.tombstone(id)
+    /// Removes an object; returns `true` if it was present. O(1)
+    /// amortised: the slot is marked dead and compacted away once half
+    /// the slots are.
+    pub fn remove(&mut self, id: ObjectId) -> bool {
+        self.storage.remove(id)
     }
 
     /// Sketches a query object with the engine's construction unit.
@@ -822,10 +754,10 @@ impl SearchEngine {
                 "engine is sketch-only; cannot derive parameters".into(),
             ));
         }
-        let live = self.storage.live_refs();
-        let vectors = live
+        let vectors = self
+            .storage
             .iter()
-            .filter_map(|(_, _, obj)| *obj)
+            .filter_map(|(_, _, obj)| obj)
             .flat_map(|o| o.segments().iter().map(|s| &s.vector));
         SketchParams::from_samples(nbits, xor_folds, vectors)
     }
@@ -852,32 +784,24 @@ impl SearchEngine {
             .build()?;
         let items: Vec<(ObjectId, DataObject)> = self
             .storage
-            .live_refs()
-            .into_iter()
+            .iter()
             .filter_map(|(id, _, obj)| obj.map(|o| (id, o.clone())))
             .collect();
         rebuilt.insert_batch(items)?;
-        // The replacement engine takes over durable segment persistence:
-        // its first checkpoint commits a manifest naming only its own
-        // segment files, superseding (and garbage-collecting) ours.
-        if let Some(store) = self.storage.persistence_handle() {
-            rebuilt.attach_segment_persistence(store.clone())?;
-        }
         Ok(rebuilt)
     }
 
     /// Current metadata footprint (for storage-ratio reporting).
     pub fn metadata_footprint(&self) -> MetadataFootprint {
         let mut fp = MetadataFootprint::default();
-        let live = self.storage.live_refs();
-        for (_, so, _) in &live {
+        for (_, so, _) in self.storage.iter() {
             fp.segments += so.num_segments();
             for s in &so.sketches {
                 fp.sketch_bytes += s.len().div_ceil(8);
             }
         }
         if self.config.store_originals {
-            for obj in live.iter().filter_map(|(_, _, obj)| *obj) {
+            for obj in self.storage.iter().filter_map(|(_, _, obj)| obj) {
                 for seg in obj.segments() {
                     fp.feature_vector_bytes += seg.vector.dim() * std::mem::size_of::<f32>();
                 }
@@ -1109,15 +1033,14 @@ impl SearchEngine {
     }
 
     /// Packs the live objects of `allowed` into a scratch sketch block,
-    /// in one pass over the storage's blocks, for a restricted filter
+    /// in one pass over the storage's block, for a restricted filter
     /// scan.
     fn pack_allowed(&self, allowed: &HashSet<ObjectId>) -> SketchBlock {
         let mut block = SketchBlock::default();
-        for part in self.storage.block_parts() {
-            for (slot, id) in part.block.ids().iter().enumerate() {
-                if allowed.contains(id) && !part.is_dead(slot) {
-                    block.push_slot(part.block, slot);
-                }
+        let part = self.storage.block_part();
+        for (slot, id) in part.block.ids().iter().enumerate() {
+            if allowed.contains(id) && !part.is_dead(slot) {
+                block.push_slot(part.block, slot);
             }
         }
         block
@@ -1155,10 +1078,10 @@ impl SearchEngine {
             ));
         }
         let dist = self.object_distance_original()?;
-        let live = self.storage.live_refs();
-        let collected: Vec<(ObjectId, &DataObject)> = live
+        let collected: Vec<(ObjectId, &DataObject)> = self
+            .storage
             .iter()
-            .filter_map(|&(id, _, obj)| {
+            .filter_map(|(id, _, obj)| {
                 if !self.allowed(id, options) {
                     return None;
                 }
@@ -1226,10 +1149,10 @@ impl SearchEngine {
                 });
             }
         }
-        let live = self.storage.live_refs();
-        let cands: Vec<(ObjectId, &SketchedObject)> = live
+        let cands: Vec<(ObjectId, &SketchedObject)> = self
+            .storage
             .iter()
-            .filter_map(|&(id, so, _)| {
+            .filter_map(|(id, so, _)| {
                 if !self.allowed(id, options) {
                     return None;
                 }
@@ -1289,19 +1212,18 @@ impl SearchEngine {
         }
         let clock = StageClock::start(trace.is_some());
         // Predicate pushdown packs the allowed live objects into a scratch
-        // block; unrestricted queries stream the storage's own blocks.
+        // block; unrestricted queries stream the storage's own block.
         let packed;
-        let parts = match &options.restrict {
+        let part = match &options.restrict {
             Some(allowed) => {
                 packed = self.pack_allowed(allowed);
-                vec![BlockPart::live(&packed)]
+                BlockPart::live(&packed)
             }
-            None => self.storage.block_parts(),
+            None => self.storage.block_part(),
         };
-        let objects: usize = parts.iter().map(BlockPart::live_objects).sum();
-        let filter_threads = self.config.parallelism.threads_for(objects);
+        let filter_threads = self.config.parallelism.threads_for(part.live_objects());
         let (candidates, fstats, shard_rows) =
-            filter_blocks(&qs, &parts, &options.filter, filter_threads)?;
+            filter_block(&qs, part, &options.filter, filter_threads)?;
         if let (Some(t), Some(elapsed)) = (trace.as_mut(), clock.elapsed()) {
             t.filter = Some(StageTrace {
                 duration: elapsed,
@@ -1479,8 +1401,8 @@ mod tests {
     fn remove_works() {
         let mut e = engine(64, 2);
         e.insert(ObjectId(1), obj(&[(&[0.5, 0.5], 1.0)])).unwrap();
-        assert!(e.remove(ObjectId(1)).unwrap());
-        assert!(!e.remove(ObjectId(1)).unwrap());
+        assert!(e.remove(ObjectId(1)));
+        assert!(!e.remove(ObjectId(1)));
         assert!(e.is_empty());
     }
 
@@ -1524,18 +1446,15 @@ mod tests {
     #[test]
     fn filtering_an_empty_engine_answers_with_nothing() {
         let (_, q) = clustered_engine();
-        for layout in [IndexLayout::Monolithic, IndexLayout::Segmented] {
-            let config = EngineConfig::basic(params(256, 4), 7).with_index_layout(layout);
-            let mut e = EngineBuilder::from_config(config).build().unwrap();
-            let resp = e.query(&q, &QueryOptions::default()).unwrap();
-            assert!(resp.results.is_empty(), "{layout}");
-            assert_eq!(resp.stats.segments_scanned, 0);
-            // Emptied again after an insert.
-            e.insert(ObjectId(1), q.clone()).unwrap();
-            assert!(e.remove(ObjectId(1)).unwrap());
-            let resp = e.query(&q, &QueryOptions::default()).unwrap();
-            assert!(resp.results.is_empty(), "{layout}");
-        }
+        let mut e = SearchEngine::builder(params(256, 4), 7).build().unwrap();
+        let resp = e.query(&q, &QueryOptions::default()).unwrap();
+        assert!(resp.results.is_empty());
+        assert_eq!(resp.stats.segments_scanned, 0);
+        // Emptied again after an insert.
+        e.insert(ObjectId(1), q.clone()).unwrap();
+        assert!(e.remove(ObjectId(1)));
+        let resp = e.query(&q, &QueryOptions::default()).unwrap();
+        assert!(resp.results.is_empty());
     }
 
     #[test]

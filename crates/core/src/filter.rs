@@ -124,7 +124,7 @@ fn admit(heap: &mut BinaryHeap<HeapEntry>, capacity: usize, entry: HeapEntry) {
     }
 }
 
-/// The sketches of one storage part in one contiguous row-major block.
+/// The sketches of a record set in one contiguous row-major block.
 ///
 /// Every row is one dataset segment's sketch, `stride =
 /// nbits.div_ceil(64)` words wide, and the rows of one object are
@@ -133,10 +133,10 @@ fn admit(heap: &mut BinaryHeap<HeapEntry>, capacity: usize, entry: HeapEntry) {
 /// offsets and the block stores no per-row id. A block costs `8 · stride` bytes per
 /// segment plus 12 bytes per object.
 ///
-/// Storage keeps one block per part (the monolithic map, the memtable,
-/// each sealed segment) next to the per-object [`SketchedObject`]s, and
-/// [`filter_blocks`] streams the words with no pointer chasing. The width
-/// is fixed by the first row pushed; an empty block has none yet.
+/// The engine's storage keeps one block next to its per-object
+/// [`SketchedObject`]s, and [`filter_block`] streams the words with no
+/// pointer chasing. The width is fixed by the first row pushed; an
+/// empty block has none yet.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SketchBlock {
     nbits: Option<usize>,
@@ -212,9 +212,9 @@ impl SketchBlock {
     /// Appends slot `slot` of `from`, a block of the same width, as a new
     /// slot, copying its already validated rows.
     ///
-    /// Infallible because every block built this way (a compacted part, a
-    /// merged segment, a packed restrict set) holds a subset of the rows
-    /// of one storage, and storage admits fewer than 2^32 rows in total.
+    /// Infallible because every block built this way (a compacted block
+    /// or a packed restrict set) holds a subset of the rows of the
+    /// storage, and storage admits fewer than 2^32 rows in total.
     pub(crate) fn push_slot(&mut self, from: &SketchBlock, slot: usize) {
         debug_assert!(self.nbits.is_none() || self.nbits == from.nbits);
         self.nbits = from.nbits;
@@ -237,13 +237,6 @@ impl SketchBlock {
         self.ids.reserve(objects);
     }
 
-    /// Releases unused capacity (a sealed segment's block never grows).
-    pub fn shrink_to_fit(&mut self) {
-        self.words.shrink_to_fit();
-        self.ends.shrink_to_fit();
-        self.ids.shrink_to_fit();
-    }
-
     /// Bytes the block has allocated (capacity, not length).
     pub fn capacity_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
@@ -264,13 +257,12 @@ fn row_distances(query: &[u64], rows: &[u64], out: &mut [u32]) {
     }
 }
 
-/// One storage part as [`filter_blocks`] sees it: a block plus the
-/// slots of removed objects whose rows it still holds (a sealed
-/// segment's dead set, or removals a mutable part has not compacted
-/// away yet).
+/// A block as [`filter_block`] sees it, plus the slots of removed
+/// objects whose rows it still holds (removals the storage has not
+/// compacted away yet).
 #[derive(Debug, Clone, Copy)]
 pub struct BlockPart<'a> {
-    /// The part's sketch rows.
+    /// The sketch rows.
     pub block: &'a SketchBlock,
     /// Slots of removed objects still in `block`. Their rows are skipped
     /// at heap admission, the only point where they could change the
@@ -281,7 +273,7 @@ pub struct BlockPart<'a> {
 }
 
 impl<'a> BlockPart<'a> {
-    /// A part with no removed objects.
+    /// A block with no removed objects.
     pub fn live(block: &'a SketchBlock) -> Self {
         Self {
             block,
@@ -290,12 +282,12 @@ impl<'a> BlockPart<'a> {
         }
     }
 
-    /// Live objects in the part.
+    /// Live objects in the block.
     pub fn live_objects(&self) -> usize {
         self.block.objects() - self.dead.map_or(0, HashSet::len)
     }
 
-    /// Live rows (segment sketches) in the part.
+    /// Live rows (segment sketches) in the block.
     pub fn live_rows(&self) -> usize {
         self.block.rows() - self.dead_rows
     }
@@ -313,7 +305,7 @@ impl<'a> BlockPart<'a> {
 /// **reference row scan** that [`filter_candidates`] and
 /// [`filter_candidates_sharded`] drive and that tests and the benchmark
 /// replay compare the engine against. The engine itself never calls it:
-/// it streams whole [`SketchBlock`]s through [`filter_blocks`]. Both
+/// it streams its whole [`SketchBlock`] through [`filter_block`]. Both
 /// admit through the same `(hamming, object id)` total order, so they
 /// keep the same heaps.
 #[derive(Clone)]
@@ -533,26 +525,27 @@ pub fn filter_candidates_sharded(
     Ok(scan.finish())
 }
 
-/// The engine's filter stage: streams every row of `parts` through the
+/// The engine's filter stage: streams every row of `part` through the
 /// block kernel, sharding contiguous row ranges over `threads` scoped
 /// workers and merging their heaps.
 ///
 /// Candidates and statistics equal [`filter_candidates`] over the live
-/// objects of `parts` (dead rows are never admitted and never counted),
+/// objects of `part` (dead rows are never admitted and never counted),
 /// for every thread count. Also returns the rows each shard streamed,
 /// dead ones included (empty when the scan ran unsharded).
 ///
 /// A query whose sketch width differs from a non-empty block's fails
 /// with [`CoreError::SketchLengthMismatch`]; with no rows at all the
 /// answer is empty.
-pub fn filter_blocks(
+pub fn filter_block(
     query: &SketchedObject,
-    parts: &[BlockPart<'_>],
+    part: BlockPart<'_>,
     params: &FilterParams,
     threads: usize,
 ) -> Result<(HashSet<ObjectId>, FilterStats, Vec<usize>)> {
     let mut scan = FilterScan::new(query, params)?;
-    for part in parts.iter().filter(|p| p.block.rows() > 0) {
+    let rows = part.block.rows();
+    if rows > 0 {
         let nbits = part.block.nbits().unwrap_or(0);
         if let Some(q) = scan.query_sketches.iter().find(|q| q.len() != nbits) {
             return Err(CoreError::SketchLengthMismatch {
@@ -561,21 +554,13 @@ pub fn filter_blocks(
             });
         }
     }
-    let rows: usize = parts.iter().map(|p| p.block.rows()).sum();
-    // Rows are numbered across parts; each shard streams one contiguous
-    // range, starting from a copy of the scan (which has seen no rows).
+    // Each shard streams one contiguous row range, starting from a copy
+    // of the scan (which has seen no rows).
     let shard_scans = crate::parallel::map_shards(threads, rows, |_, range| {
         let mut shard = scan.clone();
-        let mut base = 0;
-        for part in parts {
-            let n = part.block.rows();
-            let (lo, hi) = (range.start.max(base), range.end.min(base + n));
-            if lo < hi {
-                shard.scan_rows(part, lo - base..hi - base);
-            }
-            base += n;
-        }
-        (range.len(), shard)
+        let n = range.len();
+        shard.scan_rows(&part, range);
+        (n, shard)
     });
     let mut shard_rows = Vec::new();
     if shard_scans.len() > 1 {
@@ -585,8 +570,8 @@ pub fn filter_blocks(
         scan.merge(shard);
     }
     scan.stats = FilterStats {
-        objects_scanned: parts.iter().map(BlockPart::live_objects).sum(),
-        segments_scanned: parts.iter().map(BlockPart::live_rows).sum(),
+        objects_scanned: part.live_objects(),
+        segments_scanned: part.live_rows(),
         candidates: 0,
     };
     let (candidates, stats) = scan.finish();
@@ -837,13 +822,8 @@ mod tests {
             weights: vec![1.0],
             sketches: vec![BitVec::zeros(128)],
         };
-        let err = filter_blocks(
-            &wide,
-            &[BlockPart::live(&block)],
-            &FilterParams::default(),
-            1,
-        )
-        .unwrap_err();
+        let err =
+            filter_block(&wide, BlockPart::live(&block), &FilterParams::default(), 1).unwrap_err();
         assert_eq!(
             err,
             CoreError::SketchLengthMismatch {
@@ -864,9 +844,9 @@ mod tests {
         let empty = SketchBlock::default();
         assert_eq!(empty.nbits(), None);
         for threads in [1, 3] {
-            let (cands, stats, _) = filter_blocks(
+            let (cands, stats, _) = filter_block(
                 &query,
-                &[BlockPart::live(&empty)],
+                BlockPart::live(&empty),
                 &FilterParams::default(),
                 threads,
             )
@@ -878,8 +858,7 @@ mod tests {
 
     #[test]
     fn block_scan_matches_reference_across_shards_and_dead_rows() {
-        // Multi-segment objects with tied distances, split over two parts;
-        // the first part holds two dead objects.
+        // Multi-segment objects with tied distances; three are dead.
         let objects: Vec<SketchedObject> = (0..30)
             .map(|i| {
                 let segs: Vec<Vec<bool>> = (0..1 + i % 4)
@@ -895,22 +874,18 @@ mod tests {
             .enumerate()
             .map(|(i, so)| (ObjectId(i as u64), so))
             .collect();
-        let first = block_of(&all[..17]);
-        let second = block_of(&all[17..]);
-        // Slot s of the first block holds object s.
-        let dead = HashSet::from([3u32, 8]);
+        let block = block_of(&all);
+        // Slot s holds object s.
+        let dead = HashSet::from([3u32, 8, 20]);
         let dead_rows = dead
             .iter()
             .map(|&s| objects[s as usize].num_segments())
             .sum();
-        let parts = [
-            BlockPart {
-                block: &first,
-                dead: Some(&dead),
-                dead_rows,
-            },
-            BlockPart::live(&second),
-        ];
+        let part = BlockPart {
+            block: &block,
+            dead: Some(&dead),
+            dead_rows,
+        };
         let live: Vec<(ObjectId, &SketchedObject)> = all
             .iter()
             .copied()
@@ -929,12 +904,12 @@ mod tests {
             };
             let reference = filter_candidates(&query, live.iter().copied(), &p).unwrap();
             for threads in 1..=7 {
-                let (cands, stats, shards) = filter_blocks(&query, &parts, &p, threads).unwrap();
+                let (cands, stats, shards) = filter_block(&query, part, &p, threads).unwrap();
                 assert_eq!((cands, stats), reference, "cand {cand} threads {threads}");
                 if threads > 1 {
                     // Shards count every row streamed, dead ones included.
                     let rows: usize = shards.iter().sum();
-                    assert_eq!(rows, first.rows() + second.rows());
+                    assert_eq!(rows, block.rows());
                 }
             }
         }

@@ -39,14 +39,13 @@ pub mod distance;
 pub mod engine;
 pub mod error;
 pub mod filter;
-pub mod index;
 pub mod object;
 pub mod parallel;
 pub mod plugin;
 pub mod rank;
-pub mod segment;
 pub mod series;
 pub mod sketch;
+pub mod storage;
 pub mod telemetry;
 pub mod vector;
 
@@ -63,13 +62,12 @@ pub mod prelude {
     };
     pub use crate::error::{CoreError, Result};
     pub use crate::filter::{FilterParams, FilterScan, FilterStats};
-    pub use crate::index::{BandedSketchIndex, BandingParams};
     pub use crate::object::{DataObject, ObjectId, Segment};
     pub use crate::parallel::Parallelism;
     pub use crate::plugin::{Extractor, FileExtractor};
     pub use crate::rank::SearchResult;
-    pub use crate::segment::{IndexLayout, IndexStorage, StorageStats};
     pub use crate::sketch::{BitVec, SketchBuilder, SketchParams, SketchedObject};
+    pub use crate::storage::StorageStats;
     pub use crate::telemetry::{
         Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, ShardTrace, StageTrace,
     };

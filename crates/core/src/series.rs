@@ -57,8 +57,6 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_cache_memory_bytes", G, "Approximate resident size of the result cache.";
     "ferret_cache_misses_total", C, "Result-cache lookups that fell through to the engine.";
     "ferret_commands_total", C, "Protocol commands executed, by command.";
-    "ferret_compaction_seconds", HL, "Latency of segment compaction merges.";
-    "ferret_compactions_total", C, "Segment compaction merges completed.";
     "ferret_fusion_queries_total", C, "Hybrid queries executed, by fusion mode.";
     "ferret_http_request_seconds", HL, "HTTP request latency, by endpoint.";
     "ferret_http_requests_total", C, "HTTP requests served, by endpoint and status.";
@@ -67,7 +65,6 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_insert_batch_size", HS, "Objects per insert batch.";
     "ferret_inserts_total", C, "Objects inserted.";
     "ferret_lock_wait_seconds", HL, "Time spent waiting for the service lock, by operation class.";
-    "ferret_memtable_objects", G, "Objects in the mutable memtable awaiting seal.";
     "ferret_pushdown_queries_total", C, "Filter-stage queries that carried an attribute candidate set.";
     "ferret_pushdown_skipped_total", C, "Objects excluded before heap admission by predicate pushdown.";
     "ferret_queries_total", C, "Similarity queries executed, by mode.";
@@ -79,7 +76,6 @@ pub const SERIES: &[SeriesDef] = series![
     "ferret_query_stage_seconds", HL, "Per-stage query latency, by stage.";
     "ferret_rank_solves_skipped_total", C, "Candidate distance evaluations the rank stage's lower bound skipped.";
     "ferret_rejected_total", C, "Queries rejected by admission control.";
-    "ferret_segments", G, "Immutable sealed segments in the engine.";
     "ferret_sketch_block_bytes", G, "Bytes allocated by the filter's contiguous sketch blocks.";
     "ferret_sketch_build_seconds", HL, "Sketch-construction latency per ingest batch.";
     "ferret_sketch_objects_per_sec", G, "Ingest sketch-construction throughput of the most recent batch.";

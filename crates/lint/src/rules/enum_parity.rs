@@ -18,7 +18,6 @@ const RULE: &str = "strategy-enum-parity";
 pub const ENUMS: &[(&str, &str)] = &[
     ("Parallelism", "crates/core/src/parallel.rs"),
     ("FusionMode", "crates/core/src/engine.rs"),
-    ("IndexLayout", "crates/core/src/segment/mod.rs"),
 ];
 
 /// Files whose raw text constitutes "the CLI help" (usage strings and the
@@ -32,7 +31,7 @@ fn impl_block(f: &SourceFile, traits: &[&str], ty: &str) -> Option<(usize, usize
     for t in traits {
         let pattern = format!("impl {t} for {ty}");
         for pos in find_all(&f.scrubbed, &pattern) {
-            // Require a word boundary so `IndexLayoutExt` doesn't match.
+            // Require a word boundary so `ParallelismExt` doesn't match.
             let after = f.scrubbed.as_bytes().get(pos + pattern.len());
             if after.is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_') {
                 continue;

@@ -289,16 +289,12 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
             enum_src("FusionMode", fusion_display, "rrf"),
         ),
         (
-            "crates/core/src/segment/mod.rs",
-            enum_src("IndexLayout", "segmented", "segmented"),
-        ),
-        (
             "src/bin/ferret.rs",
-            "const USAGE: &str = \"modes: serial rrf segmented\";\nfn main() {}\n".to_string(),
+            "const USAGE: &str = \"modes: serial rrf\";\nfn main() {}\n".to_string(),
         ),
         (
             "crates/query/src/protocol.rs",
-            "pub const HELP: &str = \"serial rrf segmented\";\n".to_string(),
+            "pub const HELP: &str = \"serial rrf\";\n".to_string(),
         ),
     ]
 }
@@ -306,7 +302,7 @@ fn parity_files(fusion_display: &str) -> Vec<(&'static str, String)> {
 fn parity_repo(fusion_display: &str) -> Repo {
     let files = parity_files(fusion_display);
     let refs: Vec<(&str, &str)> = files.iter().map(|(p, t)| (*p, t.as_str())).collect();
-    Repo::from_memory(&refs, &[("README.md", "modes: serial rrf segmented")])
+    Repo::from_memory(&refs, &[("README.md", "modes: serial rrf")])
 }
 
 #[test]
@@ -330,7 +326,7 @@ fn enum_parity_fires_when_enum_file_missing() {
     let repo = Repo::from_memory(&[("crates/foo/src/lib.rs", "pub fn f() {}\n")], &[]);
     let v = fires(&repo, "strategy-enum-parity");
     // One finding per contracted enum whose defining file is absent.
-    assert_eq!(v.len(), 3, "{v:?}");
+    assert_eq!(v.len(), 2, "{v:?}");
 }
 
 // ------------------------------------------------------- report partition --

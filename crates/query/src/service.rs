@@ -22,9 +22,8 @@ use ferret_core::engine::{
 use ferret_core::error::CoreError;
 use ferret_core::object::{DataObject, ObjectId};
 use ferret_core::parallel::Parallelism;
-use ferret_core::segment::IndexLayout;
 use ferret_core::telemetry::{MetricsRegistry, QueryTrace, Unit, SIZE_BUCKETS};
-use ferret_store::{Database, DbOptions, SegmentStore, StoreError, Vfs};
+use ferret_store::{Database, DbOptions, StoreError, Vfs};
 
 use crate::cache::ResultCache;
 use crate::fusion::{rank_attr_scores, rrf_fuse, weighted_fuse, FusedHit};
@@ -244,17 +243,6 @@ impl ServiceBuilder {
         // Sketch construction dominates recovery time, so the whole recovered
         // set goes through the batch-parallel insert path.
         engine.insert_batch(recovered)?;
-        if engine.index_layout() == IndexLayout::Segmented {
-            // Segmented engines persist sealed segments alongside the
-            // metadata store, through the same VFS so fault-injection
-            // tests cover the segment manifest-swap protocol too.
-            let vfs: Arc<dyn Vfs> = match &self.vfs {
-                Some(vfs) => Arc::clone(vfs),
-                None => Arc::new(ferret_store::StdVfs),
-            };
-            let store = SegmentStore::open(vfs, &dir.join("segments"))?;
-            engine.attach_segment_persistence(store)?;
-        }
         let attrs = AttrStore::load(&db)?;
         Ok(self.finish(engine, attrs, Some(db)))
     }
@@ -450,7 +438,7 @@ impl FerretService {
             if let Err(e) = txn.commit() {
                 // Roll the engine back so memory matches storage.
                 for (id, _, _) in &items {
-                    self.engine.remove(*id).ok();
+                    self.engine.remove(*id);
                 }
                 self.record_store_error("insert_batch");
                 return Err(e.into());
@@ -502,7 +490,7 @@ impl FerretService {
             }
             if let Err(e) = txn.commit() {
                 // Roll the engine back so memory matches storage.
-                self.engine.remove(id).ok();
+                self.engine.remove(id);
                 self.record_store_error("insert");
                 return Err(e.into());
             }
@@ -521,7 +509,7 @@ impl FerretService {
     /// Removes an object and its attributes.
     pub fn remove(&mut self, id: ObjectId) -> Result<bool, ServiceError> {
         self.cache.bump_epoch();
-        let present = self.engine.remove(id)?;
+        let present = self.engine.remove(id);
         if let Some(db) = self.db.as_mut() {
             let mut txn = db.begin();
             txn.delete(FEATURES_TABLE, &id.0.to_le_bytes());
@@ -565,20 +553,16 @@ impl FerretService {
         Ok(())
     }
 
-    /// Applies finished background compactions and schedules any due
-    /// segment maintenance, without blocking on it. A no-op for
-    /// monolithic engines. Results are bit-identical across compactions,
-    /// so the result-cache epoch is deliberately left alone — cached
-    /// replies stay valid.
+    /// Does nothing. Kept only because the benchmark harness still calls
+    /// it.
     pub fn maintain(&mut self) -> Result<(), ServiceError> {
-        Ok(self.engine.maintain()?)
+        Ok(())
     }
 
-    /// Runs segment compaction to quiescence inline (monolithic engines
-    /// rebuild their index stop-the-world). Epoch-neutral for the result
-    /// cache: compaction never changes query results.
-    pub fn compact(&mut self) -> Result<(), ServiceError> {
-        Ok(self.engine.compact()?)
+    /// Drops the storage slots of removed objects now. Epoch-neutral for
+    /// the result cache: compaction never changes query results.
+    pub fn compact(&mut self) {
+        self.engine.compact();
     }
 
     /// Checkpoints the metadata store (persistent services only).
@@ -781,14 +765,11 @@ impl FerretService {
             }
             Command::Stat => {
                 let fp = self.engine.metadata_footprint();
-                let st = self.engine.storage_stats();
                 Ok(Response::Stat {
                     objects: self.engine.len(),
                     segments: fp.segments,
                     sketch_bytes: fp.sketch_bytes,
                     feature_bytes: fp.feature_vector_bytes,
-                    index_segments: st.sealed_segments,
-                    memtable_objects: st.memtable_objects,
                 })
             }
             Command::Help => Ok(Response::Help),

@@ -23,7 +23,6 @@ use ferret::attr::Attributes;
 use ferret::core::engine::EngineConfig;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::SketchParams;
 use ferret::core::telemetry::MetricsRegistry;
 use ferret::datatypes::generic::FvecExtractor;
@@ -42,9 +41,6 @@ struct Options {
     http: String,
     scan_interval: u64,
     threads: Parallelism,
-    index_layout: IndexLayout,
-    memtable_size: usize,
-    compaction: bool,
     workers: Option<usize>,
     max_inflight: Option<usize>,
     cache_capacity: usize,
@@ -55,7 +51,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n                [--index-layout monolithic|segmented] [--memtable-size N]\n                [--compaction on|off]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret query  --addr <host:port> <command ...>"
+        "usage:\n  ferret serve  --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--tcp addr] [--http addr] [--scan-interval secs]\n                [--threads N|auto|serial] [--workers N] [--max-inflight N]\n                [--cache-capacity N] [--no-telemetry]\n  ferret import --db <dir> --watch <dir> --dim <D> [--bits N] [--k K]\n                [--threads N|auto|serial]\n  ferret query  --addr <host:port> <command ...>"
     );
     std::process::exit(2);
 }
@@ -71,9 +67,6 @@ fn parse_options(args: &[String]) -> Options {
         http: "127.0.0.1:8080".to_string(),
         scan_interval: 5,
         threads: Parallelism::Auto,
-        index_layout: IndexLayout::Monolithic,
-        memtable_size: ferret::core::engine::DEFAULT_MEMTABLE_SIZE,
-        compaction: true,
         workers: None,
         max_inflight: None,
         cache_capacity: 128,
@@ -119,22 +112,6 @@ fn parse_options(args: &[String]) -> Options {
             }
             "--threads" => {
                 opts.threads = parse_threads(need(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--index-layout" => {
-                opts.index_layout = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--memtable-size" => {
-                opts.memtable_size = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--compaction" => {
-                opts.compaction = match need(i).as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => usage(),
-                };
                 i += 2;
             }
             "--workers" => {
@@ -235,9 +212,6 @@ fn open_service(opts: &Options) -> FerretService {
     .expect("valid sketch parameters");
     let mut config = EngineConfig::basic(params, 0xFE44E7);
     config.parallelism = opts.threads;
-    config.index_layout = opts.index_layout;
-    config.memtable_size = opts.memtable_size;
-    config.compaction = opts.compaction;
     let built = FerretService::builder(config)
         .db_options(DbOptions::default())
         .cache_capacity(opts.cache_capacity)
@@ -394,16 +368,7 @@ fn cmd_serve(opts: &Options) {
 
     loop {
         std::thread::sleep(std::time::Duration::from_secs(opts.scan_interval.max(1)));
-        let changed = {
-            let mut svc = service.write();
-            // Apply finished background compactions and schedule any due
-            // segment maintenance even when no files changed, so the
-            // segmented layout makes progress on an idle ingest path.
-            if let Err(e) = svc.maintain() {
-                eprintln!("warning: segment maintenance failed: {e}");
-            }
-            scan_once(&mut svc, &mut importer)
-        };
+        let changed = scan_once(&mut service.write(), &mut importer);
         if changed > 0 {
             println!("scan: {changed} changes applied");
         }

@@ -17,7 +17,6 @@ use ferret::core::filter::{filter_candidates, filter_candidates_sharded, FilterP
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
 use ferret::core::rank::{rank_candidates, rank_candidates_parallel, rank_candidates_pruned};
-use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::{SketchParams, SketchedObject};
 use ferret::core::vector::FeatureVector;
 
@@ -87,18 +86,10 @@ fn engine_with(objects: &[DataObject], seed: u64) -> SearchEngine {
     engine
 }
 
-/// An engine with `nbits`-bit sketches over `objects`. The segmented
-/// layout gets a 3-object memtable and inline compaction only, so the
-/// objects span several sealed segments and removals leave dead rows.
-fn engine_for(nbits: usize, seed: u64, segmented: bool, objects: &[DataObject]) -> SearchEngine {
+/// An engine with `nbits`-bit sketches over `objects`.
+fn engine_for(nbits: usize, seed: u64, objects: &[DataObject]) -> SearchEngine {
     let params = SketchParams::new(nbits, vec![0.0; 3], vec![1.0; 3]).unwrap();
-    let mut config = EngineConfig::basic(params, seed).with_parallelism(Parallelism::Serial);
-    if segmented {
-        config = config
-            .with_index_layout(IndexLayout::Segmented)
-            .with_memtable_size(3)
-            .with_compaction(false);
-    }
+    let config = EngineConfig::basic(params, seed).with_parallelism(Parallelism::Serial);
     let mut engine = EngineBuilder::from_config(config).build().unwrap();
     for (i, obj) in objects.iter().enumerate() {
         engine.insert(ObjectId(i as u64), obj.clone()).unwrap();
@@ -271,8 +262,9 @@ proptest! {
     /// (and widths that are not a multiple of 64), thresholds on and
     /// off, `r` from 1 to 3, small `k` with distance ties (duplicated
     /// objects), 1 to 5 threads over multi-segment objects that straddle
-    /// shard boundaries, both layouts, removals followed by re-inserts,
-    /// and restrict sets.
+    /// shard boundaries, removals (leaving dead rows, or compacting once
+    /// half the slots are dead) followed by re-inserts, and restrict
+    /// sets.
     #[test]
     fn sharded_filter_candidates_identical(
         objects in prop::collection::vec(object_strategy(3), 4..20),
@@ -283,17 +275,16 @@ proptest! {
         threshold in (any::<bool>(), 0u32..96),
         removed in prop::collection::vec(any::<bool>(), 24),
         restrict in (any::<bool>(), prop::collection::vec(any::<bool>(), 24)),
-        segmented in any::<bool>(),
     ) {
         let nbits = [64usize, 96, 128, 600, 640, 832][nbits_idx];
         // Duplicates tie at every distance, so id tie-breaking matters.
         let objects: Vec<DataObject> = objects.iter().chain(&objects[..2]).cloned().collect();
-        let mut engine = engine_for(nbits, seed, segmented, &objects);
-        // Remove some objects (tombstones in sealed segments), then
+        let mut engine = engine_for(nbits, seed, &objects);
+        // Remove some objects (dead slots in the sketch block), then
         // re-insert every other removed one at the end of the order.
         let gone: Vec<usize> = (0..objects.len()).filter(|&i| removed[i]).collect();
         for &i in &gone {
-            prop_assert!(engine.remove(ObjectId(i as u64)).unwrap());
+            prop_assert!(engine.remove(ObjectId(i as u64)));
         }
         for &i in gone.iter().step_by(2) {
             engine.insert(ObjectId(i as u64), objects[i].clone()).unwrap();
@@ -345,7 +336,7 @@ proptest! {
         for threads in 1..=5 {
             engine.set_parallelism(Parallelism::Threads(threads));
             let resp = engine.query(query, &opts).unwrap();
-            let ctx = format!("nbits {nbits} threads {threads} segmented {segmented}");
+            let ctx = format!("nbits {nbits} threads {threads}");
             prop_assert_eq!(&resp.results, &expected, "{}", ctx);
             prop_assert_eq!(resp.stats.objects_scanned, serial_stats.objects_scanned, "{}", ctx);
             prop_assert_eq!(resp.stats.segments_scanned, serial_stats.segments_scanned, "{}", ctx);

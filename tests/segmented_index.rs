@@ -1,20 +1,23 @@
-//! Exactness contract of the LSM-style segmented index layout.
+//! Mutation contract of the engine's segment-sketch storage.
 //!
-//! The contract under test (DESIGN.md §5.6, "Segmented index contract"):
-//! a `Segmented` engine must answer every query *bit-identically* to a
-//! `Monolithic` twin fed the same mutation sequence, no matter where the
-//! memtable seals fall, how many segments exist, or when compaction
-//! merges them. Seal and merge are pure re-arrangements of the same
-//! logical object set; they must never change a result, a distance, or
-//! the visible id set.
+//! The contract under test (DESIGN.md §5.6, "Storage contract"): after
+//! any sequence of inserts, removals, re-inserts and compactions, an
+//! engine answers every query *bit-identically* to an engine built fresh
+//! from the same live objects in the same insertion order: the same ids,
+//! distances, ranks and [`QueryStats`]. A removal only marks a slot dead
+//! and the storage compacts itself once half its slots are dead; neither
+//! the dead slots nor the moment of compaction may ever show.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ferret::core::engine::{EngineBuilder, EngineConfig, QueryMode, QueryOptions, SearchEngine};
+use ferret::core::engine::{
+    EngineBuilder, EngineConfig, QueryMode, QueryOptions, QueryResponse, QueryStats, SearchEngine,
+};
 use ferret::core::filter::FilterParams;
 use ferret::core::object::{DataObject, ObjectId};
 use ferret::core::parallel::Parallelism;
-use ferret::core::segment::IndexLayout;
 use ferret::core::sketch::SketchParams;
 use ferret::core::vector::FeatureVector;
 use ferret::query::FerretService;
@@ -30,10 +33,17 @@ fn mix(seed: u64, i: u64, d: u64) -> f32 {
     (z % 10_000) as f32 / 10_000.0
 }
 
+/// Object `i` of payload variant `seed`: one to three segments, so
+/// removals leave dead rows of different lengths behind.
 fn mixed_object(seed: u64, i: u64) -> DataObject {
-    DataObject::single(
-        FeatureVector::new(vec![mix(seed, i, 0), mix(seed, i, 1), mix(seed, i, 2)]).unwrap(),
-    )
+    let segments = 1 + (mix(seed, i, 9) * 3.0) as u64;
+    let parts = (0..segments)
+        .map(|s| {
+            let v = (0..3).map(|d| mix(seed, i, 3 * s + d)).collect();
+            (FeatureVector::new(v).unwrap(), 0.5 + mix(seed, i, 10 + s))
+        })
+        .collect();
+    DataObject::new(parts).unwrap()
 }
 
 fn config(seed: u64) -> EngineConfig {
@@ -41,290 +51,280 @@ fn config(seed: u64) -> EngineConfig {
     EngineConfig::basic(params, seed).with_parallelism(Parallelism::Serial)
 }
 
-fn build_pair(seed: u64, memtable: usize) -> (SearchEngine, SearchEngine) {
-    let mono = EngineBuilder::from_config(config(seed)).build().unwrap();
-    // Compaction runs inline (`with_compaction(false)` + explicit
-    // `compact()`) so the op interleaving below is fully deterministic.
-    let seg = EngineBuilder::from_config(
-        config(seed)
-            .with_index_layout(IndexLayout::Segmented)
-            .with_memtable_size(memtable)
-            .with_compaction(false),
-    )
-    .build()
-    .unwrap();
-    (mono, seg)
+fn engine(seed: u64) -> SearchEngine {
+    EngineBuilder::from_config(config(seed)).build().unwrap()
 }
 
-/// One step of the mutation interleaving. Structural ops (seal, compact,
-/// maintain) only apply to the segmented twin — on the monolithic layout
-/// they are no-ops by contract, which is itself part of what we pin.
+/// The query options every check runs: brute force over originals and
+/// over sketches, and filtering both thresholded and as pure k-NN (the
+/// paper's Table 2 configuration).
+fn query_options() -> Vec<QueryOptions> {
+    let filtering = |base_threshold| {
+        QueryOptions::default()
+            .with_mode(QueryMode::Filtering)
+            .with_k(8)
+            .with_filter(FilterParams {
+                query_segments: 2,
+                candidates_per_segment: 4,
+                base_threshold,
+                weight_attenuation: 0.25,
+            })
+    };
+    vec![
+        QueryOptions::brute_force(8),
+        QueryOptions::brute_force(8).with_mode(QueryMode::BruteForceSketch),
+        filtering(Some(10)),
+        filtering(None),
+    ]
+}
+
+/// Results (ids, distances, ranks) and statistics, minus wall time.
+fn observed(resp: QueryResponse) -> (Vec<(ObjectId, f64)>, QueryStats) {
+    let results = resp.results.iter().map(|r| (r.id, r.distance)).collect();
+    let stats = QueryStats {
+        elapsed: Duration::ZERO,
+        ..resp.stats
+    };
+    (results, stats)
+}
+
+/// Asserts `engine` answers exactly like an engine built fresh from
+/// `live` (in insertion order): ids in order, every query's ranked
+/// results with distances, and its statistics.
+fn assert_matches_fresh(
+    engine: &SearchEngine,
+    live: &[(ObjectId, DataObject)],
+    seed: u64,
+    ctx: &str,
+) {
+    let mut fresh = self::engine(seed);
+    fresh.insert_batch(live.to_vec()).unwrap();
+    assert_eq!(engine.ids(), fresh.ids(), "ids diverged {ctx}");
+    assert_eq!(engine.storage_stats().live_objects, live.len(), "{ctx}");
+    let query = mixed_object(0xFE44E7, 999);
+    for opts in query_options() {
+        let got = observed(engine.query(&query, &opts).unwrap());
+        let want = observed(fresh.query(&query, &opts).unwrap());
+        assert_eq!(got, want, "{:?} diverged {ctx}", opts.mode);
+    }
+}
+
+/// One step of the mutation interleaving.
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64),
     Remove(u64),
-    Seal,
+    /// Remove (if live) and insert again with a new payload.
+    Reinsert(u64),
     Compact,
-    Maintain,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Weighted mix: inserts dominate so corpora actually grow, with
-    // enough removals and structural ops to shake the layering.
-    (0usize..9, 0u64..48).prop_map(|(kind, i)| match kind {
+    // Removals are frequent and ids few, so runs keep crossing the
+    // half-dead threshold that compacts the storage on its own.
+    (0usize..10, 0u64..24).prop_map(|(kind, i)| match kind {
         0..=3 => Op::Insert(i),
-        4 | 5 => Op::Remove(i),
-        6 => Op::Seal,
-        7 => Op::Compact,
-        _ => Op::Maintain,
+        4..=6 => Op::Remove(i),
+        7 | 8 => Op::Reinsert(i),
+        _ => Op::Compact,
     })
 }
 
-fn apply(engine: &mut SearchEngine, op: &Op, seed: u64) {
-    match op {
+/// Applies `op` to `engine` and to the model `live` set, checking the
+/// storage epoch and the auto-compaction bound on the way.
+fn apply(engine: &mut SearchEngine, live: &mut Vec<(ObjectId, DataObject)>, op: &Op, step: u64) {
+    let before = engine.storage_epoch();
+    let mutated = match *op {
         Op::Insert(i) => {
-            // Duplicate ids are rejected by both layouts identically;
-            // skip them so the logical sets stay in lockstep.
-            if !engine.contains(ObjectId(*i)) {
-                engine.insert(ObjectId(*i), mixed_object(seed, *i)).unwrap();
+            let id = ObjectId(i);
+            let fresh = !engine.contains(id);
+            if fresh {
+                let obj = mixed_object(1, i);
+                engine.insert(id, obj.clone()).unwrap();
+                live.push((id, obj));
             }
+            fresh
         }
         Op::Remove(i) => {
-            engine.remove(ObjectId(*i)).unwrap();
+            let id = ObjectId(i);
+            let present = live.iter().any(|(l, _)| *l == id);
+            assert_eq!(engine.remove(id), present);
+            live.retain(|(l, _)| *l != id);
+            present
         }
-        Op::Seal => engine.seal().unwrap(),
-        Op::Compact => engine.compact().unwrap(),
-        Op::Maintain => engine.maintain().unwrap(),
+        Op::Reinsert(i) => {
+            let id = ObjectId(i);
+            engine.remove(id);
+            live.retain(|(l, _)| *l != id);
+            let obj = mixed_object(100 + step, i);
+            engine.insert(id, obj.clone()).unwrap();
+            live.push((id, obj));
+            true
+        }
+        Op::Compact => {
+            engine.compact();
+            assert_eq!(engine.storage_stats().tombstones, 0);
+            false
+        }
+    };
+    let after = engine.storage_epoch();
+    if mutated {
+        assert!(after > before, "{op:?} must advance the storage epoch");
+    } else {
+        assert_eq!(after, before, "{op:?} must leave the storage epoch alone");
     }
-}
-
-/// Asserts every observable of the pair matches: id set, lengths, full
-/// ranked responses (ids *and* distances) and scan statistics in both
-/// brute-force and filtering modes.
-fn assert_twins(mono: &SearchEngine, seg: &SearchEngine, ctx: &str) {
-    assert_eq!(mono.len(), seg.len(), "len diverged {ctx}");
-    let mut a = mono.ids();
-    let mut b = seg.ids();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b, "id set diverged {ctx}");
-    let query = mixed_object(0xFE44E7, 999);
-    let brute = QueryOptions::brute_force(8);
-    let filtered = filtering_options();
-    for (name, opts) in [("brute", &brute), ("filtering", &filtered)] {
-        let ra = mono.query(&query, opts).unwrap();
-        let rb = seg.query(&query, opts).unwrap();
-        assert_eq!(
-            ra.results, rb.results,
-            "{name} results diverged {ctx} (stats mono={:?} seg={:?})",
-            ra.stats, rb.stats
-        );
-        // Dead rows still in sealed segments are never counted.
-        assert_eq!(
-            (
-                ra.stats.objects_scanned,
-                ra.stats.segments_scanned,
-                ra.stats.distance_evals
-            ),
-            (
-                rb.stats.objects_scanned,
-                rb.stats.segments_scanned,
-                rb.stats.distance_evals
-            ),
-            "{name} stats diverged {ctx}"
-        );
-    }
-}
-
-fn filtering_options() -> QueryOptions {
-    QueryOptions::default()
-        .with_mode(QueryMode::Filtering)
-        .with_k(8)
-        .with_filter(FilterParams {
-            query_segments: 2,
-            candidates_per_segment: 4,
-            base_threshold: Some(10),
-            weight_attenuation: 0.25,
-        })
+    // Half the slots dead compacts them: dead < live whenever any are.
+    let st = engine.storage_stats();
+    assert!(
+        st.tombstones == 0 || st.tombstones < st.live_objects,
+        "auto-compaction missed: {st:?}"
+    );
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random interleavings of inserts, removals, seals, inline merges,
-    /// and maintenance ticks: the segmented engine answers exactly like
-    /// the monolithic one after every structural op, for tiny memtables
-    /// (so even short runs span many segments).
+    /// Random interleavings of inserts, removals, re-inserts and
+    /// compactions: after every step the engine answers exactly like one
+    /// built fresh from its live objects.
     #[test]
-    fn segmented_matches_monolithic_under_interleaving(
+    fn mutations_match_fresh_build(
         ops in prop::collection::vec(op_strategy(), 1..60),
-        memtable in 1usize..5,
         seed in 0u64..64,
     ) {
-        let (mut mono, mut seg) = build_pair(seed, memtable);
+        let mut engine = engine(seed);
+        let mut live = Vec::new();
         for (step, op) in ops.iter().enumerate() {
-            apply(&mut mono, op, seed);
-            apply(&mut seg, op, seed);
-            // Structural ops must be invisible: check right after each.
-            if matches!(op, Op::Seal | Op::Compact | Op::Maintain) {
-                assert_twins(&mono, &seg, &format!("after step {step} ({op:?})"));
-            }
+            apply(&mut engine, &mut live, op, step as u64);
+            assert_matches_fresh(&engine, &live, seed, &format!("after step {step} ({op:?})"));
         }
-        assert_twins(&mono, &seg, "after final op");
-        // Force everything through seal + full merge and re-check: a
-        // fully-compacted segmented engine is still bit-identical.
-        seg.seal().unwrap();
-        seg.compact().unwrap();
-        assert_twins(&mono, &seg, "after final seal+compact");
     }
 }
 
-/// Deterministic lifecycle walk with invariants the proptest can't see:
-/// segment/memtable counts from `storage_stats`, epoch monotonicity, and
-/// tombstone draining through compaction.
+/// Deterministic lifecycle walk: storage statistics, epoch monotonicity,
+/// and removed slots draining through an explicit compaction.
 #[test]
 fn lifecycle_stats_and_epochs() {
-    let (mut mono, mut seg) = build_pair(7, 4);
-    let mut last_epoch = seg.storage_epoch();
+    let mut engine = engine(7);
+    let mut live = Vec::new();
+    let mut last_epoch = engine.storage_epoch();
     for i in 0..32u64 {
         let obj = mixed_object(7, i);
-        mono.insert(ObjectId(i), obj.clone()).unwrap();
-        seg.insert(ObjectId(i), obj).unwrap();
-        let e = seg.storage_epoch();
+        engine.insert(ObjectId(i), obj.clone()).unwrap();
+        live.push((ObjectId(i), obj));
+        let e = engine.storage_epoch();
         assert!(e > last_epoch, "insert must advance the storage epoch");
         last_epoch = e;
     }
-    let st = seg.storage_stats();
-    assert_eq!(st.live_objects, 32);
-    assert!(
-        st.sealed_segments >= 32 / 4 - 1,
-        "memtable of 4 must have sealed ~8 segments, saw {}",
-        st.sealed_segments
-    );
-    assert!(st.memtable_objects < 4);
-    assert_twins(&mono, &seg, "after load");
+    let st = engine.storage_stats();
+    assert_eq!((st.live_objects, st.tombstones), (32, 0));
+    assert_eq!((st.sealed_segments, st.memtable_objects), (0, 0));
+    assert_matches_fresh(&engine, &live, 7, "after load");
 
-    // Remove a slice that lives in sealed segments: tombstones appear,
-    // results stay in lockstep, and compaction drains them.
+    // Eleven removals of 32 slots stay below the half-dead threshold, so
+    // their slots remain, dead, until an explicit compaction.
     for i in (0..32u64).step_by(3) {
-        assert!(mono.remove(ObjectId(i)).unwrap());
-        assert!(seg.remove(ObjectId(i)).unwrap());
+        assert!(engine.remove(ObjectId(i)));
+        live.retain(|(id, _)| *id != ObjectId(i));
     }
-    assert!(
-        seg.storage_stats().tombstones > 0,
-        "sealed removals must tombstone"
-    );
-    assert_twins(&mono, &seg, "after removals");
+    assert_eq!(engine.storage_stats().tombstones, 11);
+    assert_matches_fresh(&engine, &live, 7, "after removals");
 
-    seg.seal().unwrap();
-    seg.compact().unwrap();
-    let st = seg.storage_stats();
-    assert_eq!(st.tombstones, 0, "full compaction must drain tombstones");
-    assert_eq!(st.memtable_objects, 0);
-    assert_eq!(st.live_objects, mono.len());
-    assert_twins(&mono, &seg, "after drain compaction");
-
-    // Monolithic structural ops are no-ops but must not error.
-    mono.seal().unwrap();
-    mono.compact().unwrap();
-    mono.maintain().unwrap();
-    assert_eq!(mono.storage_stats().sealed_segments, 0);
+    let epoch = engine.storage_epoch();
+    engine.compact();
+    engine.maintain().unwrap();
+    let st = engine.storage_stats();
+    assert_eq!(st.tombstones, 0, "compaction must drain removed slots");
+    assert_eq!(st.live_objects, 21);
+    assert_eq!(engine.storage_epoch(), epoch, "compaction is invisible");
+    assert_matches_fresh(&engine, &live, 7, "after compaction");
 }
 
-/// Re-inserting an id that only exists as a tombstone in a sealed
-/// segment resurrects it with the *new* payload — the freshest layer
-/// must shadow both the tombstone and the original.
+/// Re-inserting a removed id whose slot is still dead serves the *new*
+/// payload, from a new slot at the end of insertion order.
 #[test]
 fn reinsert_over_tombstone_uses_newest_payload() {
-    let (mut mono, mut seg) = build_pair(11, 2);
-    for i in 0..8u64 {
-        let obj = mixed_object(11, i);
-        mono.insert(ObjectId(i), obj.clone()).unwrap();
-        seg.insert(ObjectId(i), obj).unwrap();
-    }
-    seg.seal().unwrap();
-    for eng in [&mut mono, &mut seg] {
-        assert!(eng.remove(ObjectId(3)).unwrap());
-        eng.insert(ObjectId(3), mixed_object(99, 3)).unwrap();
-    }
-    assert_twins(&mono, &seg, "after reinsert");
-    seg.seal().unwrap();
-    seg.compact().unwrap();
-    assert_twins(&mono, &seg, "after reinsert compaction");
-    let obj = seg.object(ObjectId(3)).expect("reinserted object");
+    let mut engine = engine(11);
+    let mut live: Vec<(ObjectId, DataObject)> = (0..8u64)
+        .map(|i| (ObjectId(i), mixed_object(11, i)))
+        .collect();
+    engine.insert_batch(live.clone()).unwrap();
+    assert!(engine.remove(ObjectId(3)));
+    engine.insert(ObjectId(3), mixed_object(99, 3)).unwrap();
+    live.retain(|(id, _)| *id != ObjectId(3));
+    live.push((ObjectId(3), mixed_object(99, 3)));
+    assert_eq!(engine.storage_stats().tombstones, 1);
+    assert_matches_fresh(&engine, &live, 11, "after reinsert");
+    engine.compact();
+    assert_matches_fresh(&engine, &live, 11, "after reinsert compaction");
+    let obj = engine.object(ObjectId(3)).expect("reinserted object");
     assert_eq!(obj, &mixed_object(99, 3), "stale payload resurrected");
 }
 
 /// The filter follows the engine through inserts, removals and
-/// re-inserts: after every mutation both layouts answer a filtering
-/// query exactly like an engine built fresh from the live objects.
+/// re-inserts: after every phase it answers a filtering query seeded by
+/// a stored object exactly like an engine built fresh from the live
+/// objects.
 #[test]
 fn filter_tracks_insert_remove_reinsert() {
     let seed = 0xA5E_u64;
-    let (mono, seg) = build_pair(seed, 4);
-    let mut engines = [mono, seg];
+    let mut engine = engine(seed);
     let mut live: Vec<(ObjectId, DataObject)> = Vec::new();
-    let check = |engines: &[SearchEngine], live: &[(ObjectId, DataObject)], step: &str| {
-        let mut fresh = EngineBuilder::from_config(config(seed)).build().unwrap();
+    let check = |engine: &SearchEngine, live: &[(ObjectId, DataObject)], step: &str| {
+        let mut fresh = self::engine(seed);
         fresh.insert_batch(live.to_vec()).unwrap();
-        let opts = filtering_options();
-        let want = fresh.query_by_id(ObjectId(0), &opts).unwrap().results;
-        for engine in engines {
+        for opts in query_options() {
+            let want = fresh.query_by_id(ObjectId(0), &opts).unwrap().results;
             let got = engine.query_by_id(ObjectId(0), &opts).unwrap().results;
-            assert_eq!(
-                got,
-                want,
-                "{} diverged from a fresh engine after {step}",
-                engine.index_layout()
-            );
+            assert_eq!(got, want, "diverged from a fresh engine after {step}");
         }
-    };
-    let insert = |engines: &mut [SearchEngine], live: &mut Vec<_>, i: u64, obj: DataObject| {
-        for engine in engines.iter_mut() {
-            engine.insert(ObjectId(i), obj.clone()).unwrap();
-        }
-        live.push((ObjectId(i), obj));
     };
     for i in 0..40u64 {
-        insert(&mut engines, &mut live, i, mixed_object(seed, i));
+        insert(&mut engine, &mut live, i, mixed_object(seed, i));
     }
-    check(&engines, &live, "initial load");
+    check(&engine, &live, "initial load");
     for i in 40..60u64 {
-        insert(&mut engines, &mut live, i, mixed_object(seed, i));
+        insert(&mut engine, &mut live, i, mixed_object(seed, i));
     }
-    check(&engines, &live, "incremental insert");
+    check(&engine, &live, "incremental insert");
     for i in (10..30u64).step_by(3) {
-        for engine in engines.iter_mut() {
-            assert!(engine.remove(ObjectId(i)).unwrap());
-        }
+        assert!(engine.remove(ObjectId(i)));
         live.retain(|(id, _)| *id != ObjectId(i));
     }
-    check(&engines, &live, "removal");
+    check(&engine, &live, "removal");
     for i in (10..30u64).step_by(3) {
-        let obj = mixed_object(seed.wrapping_add(7), i);
-        insert(&mut engines, &mut live, i, obj);
+        insert(
+            &mut engine,
+            &mut live,
+            i,
+            mixed_object(seed.wrapping_add(7), i),
+        );
     }
-    check(&engines, &live, "re-insert after removal");
+    check(&engine, &live, "re-insert after removal");
+}
+
+fn insert(
+    engine: &mut SearchEngine,
+    live: &mut Vec<(ObjectId, DataObject)>,
+    i: u64,
+    obj: DataObject,
+) {
+    engine.insert(ObjectId(i), obj.clone()).unwrap();
+    live.push((ObjectId(i), obj));
 }
 
 /// Regression for the rebuild config-drop bug: a service-level sketch
 /// retune replaces the engine wholesale, and the replacement used to be
 /// built from a minimal config that silently reset every knob added
-/// after the original fields — including the index layout. The retune
-/// must preserve the full configuration *and* invalidate the service's
-/// result cache.
+/// after the original fields. The retune must preserve the full
+/// configuration *and* invalidate the service's result cache.
 #[test]
-fn service_retune_preserves_layout_and_bumps_cache_epoch() {
-    let params = SketchParams::new(64, vec![0.0; 3], vec![1.0; 3]).unwrap();
-    let config = EngineConfig::basic(params, 5)
-        .with_index_layout(IndexLayout::Segmented)
-        .with_memtable_size(2)
-        .with_compaction(false);
-    let mut svc = FerretService::in_memory(config).unwrap();
+fn service_retune_preserves_config_and_bumps_cache_epoch() {
+    let mut svc = FerretService::in_memory(config(5)).unwrap();
     for i in 0..12u64 {
         svc.insert(ObjectId(i), mixed_object(5, i), None).unwrap();
     }
-    assert!(svc.engine().storage_stats().sealed_segments > 0);
+    svc.remove(ObjectId(4)).unwrap();
 
     let before = svc.cache_epoch();
     svc.retune_sketches(96, 2, 17).unwrap();
@@ -334,17 +334,13 @@ fn service_retune_preserves_layout_and_bumps_cache_epoch() {
     );
 
     let engine = svc.engine();
-    assert_eq!(engine.len(), 12, "retune must carry every object over");
+    assert_eq!(engine.len(), 11, "retune must carry every live object over");
+    assert!(!engine.contains(ObjectId(4)));
     assert_eq!(
-        engine.index_layout(),
-        IndexLayout::Segmented,
-        "rebuild dropped the index layout"
+        engine.parallelism(),
+        Parallelism::Serial,
+        "rebuild dropped the parallelism setting"
     );
-    assert_eq!(engine.config().memtable_size, 2);
-    assert!(!engine.config().compaction);
-    // The replacement engine re-seals with the preserved memtable size,
-    // so the segmented structure survives the retune too.
-    let st = engine.storage_stats();
-    assert_eq!(st.live_objects, 12);
-    assert!(st.sealed_segments > 0, "rebuilt engine lost its segments");
+    assert_eq!(engine.sketch_builder().nbits(), 96);
+    assert_eq!(engine.storage_stats().tombstones, 0);
 }
